@@ -24,6 +24,14 @@ const (
 	goldenCoreKarp = 0x44f6a8d2585f487a
 )
 
+// Golden digests of the same configuration on 1 rank. Single-rank lists
+// skip the canonical sort, so their summation order is the walk order
+// itself and these constants pin it.
+const (
+	goldenCoreP1Libm = 0xdf0416373f6b22b1
+	goldenCoreP1Karp = 0x06fb935d52652209
+)
+
 func digestForces(acc []vec.V3, pot []float64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -43,23 +51,26 @@ func digestForces(acc []vec.V3, pot []float64) uint64 {
 func TestDistributedGroupedGoldenDigest(t *testing.T) {
 	ics := PlummerSphere(rand.New(rand.NewSource(7)), 1500, 1.0)
 	for _, tc := range []struct {
+		p    int
 		karp bool
 		want uint64
 	}{
-		{false, goldenCoreLibm},
-		{true, goldenCoreKarp},
+		{3, false, goldenCoreLibm},
+		{3, true, goldenCoreKarp},
+		{1, false, goldenCoreP1Libm},
+		{1, true, goldenCoreP1Karp},
 	} {
 		var first uint64
 		for _, w := range []int{1, 4} {
-			acc, pot := forcesWith(ics, 3, Options{Theta: 0.7, Eps: 0.01, Workers: w, UseKarp: tc.karp})
+			acc, pot := forcesWith(ics, tc.p, Options{Theta: 0.7, Eps: 0.01, Workers: w, UseKarp: tc.karp})
 			d := digestForces(acc, pot)
 			if w == 1 {
 				first = d
 			} else if d != first {
-				t.Fatalf("karp=%v: workers=%d digest %#x != workers=1 digest %#x", tc.karp, w, d, first)
+				t.Fatalf("p=%d karp=%v: workers=%d digest %#x != workers=1 digest %#x", tc.p, tc.karp, w, d, first)
 			}
 			if runtime.GOARCH == "amd64" && d != tc.want {
-				t.Errorf("karp=%v workers=%d: digest %#x, want seed %#x", tc.karp, w, d, tc.want)
+				t.Errorf("p=%d karp=%v workers=%d: digest %#x, want golden %#x", tc.p, tc.karp, w, d, tc.want)
 			}
 		}
 	}
