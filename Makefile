@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke scale-smoke live-smoke ledger-smoke serve-smoke ci all
+.PHONY: build test race vet fmt-check bench smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke scale-smoke live-smoke ledger-smoke serve-smoke perfbench-smoke ci all
 
 all: build test vet fmt-check
 
@@ -180,7 +180,15 @@ serve-smoke:
 		|| { echo "serve-smoke: drain exited nonzero"; exit 1; }; \
 	echo "serve-smoke: SIGTERM drained cleanly (exit 0)"
 
+# Benchmark-module smoke: perfbench is its own Go module (spacesim/perfbench,
+# replacing spacesim with ../), so the root `go test ./...` never compiles
+# it. Vet it and run its tests, which drive every benchmark workload at
+# reduced size through the public core, htree and sph calls.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Full local CI pass: formatting, static checks, tests, race detector, and
 # the observability + trace-analysis + fault-injection + tree-build +
-# engine-scaling + live-telemetry + run-ledger + job-server smoke runs.
-ci: fmt-check vet test race smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke scale-smoke live-smoke ledger-smoke serve-smoke
+# engine-scaling + live-telemetry + run-ledger + job-server + benchmark-module
+# smoke runs.
+ci: fmt-check vet test race smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke scale-smoke live-smoke ledger-smoke serve-smoke perfbench-smoke

@@ -72,9 +72,6 @@ type DTree struct {
 	// same key just append their continuation.
 	fetching map[key.K][]func(fetchReply)
 
-	// lstack is the per-body engine's shared local-walk stack scratch.
-	lstack []key.K
-
 	// counters
 	fetches int64
 

@@ -26,45 +26,22 @@ import (
 	"sync"
 	"time"
 
-	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
 	"spacesim/internal/key"
 	"spacesim/internal/obs"
 	"spacesim/internal/vec"
 )
 
-// bucketScratch holds one bucket's reusable traversal and evaluation
-// buffers. Instances recycle through a pool across buckets, steps and tree
+// bucketScratch holds one bucket's interaction list and evaluation scratch
+// (htree.BucketList) plus its pending stack of distributed cell keys.
+// Instances recycle through a pool across buckets, steps and tree
 // rebuilds, so steady-state force evaluation allocates almost nothing.
 type bucketScratch struct {
-	stack          []key.K
-	lstack         []key.K
-	cells          gravity.MultipoleSoA
-	srcs           gravity.SoA
-	sx, sy, sz     []float64
-	ax, ay, az, pp []float64
-	ev             gravity.Evaluator
+	htree.BucketList
+	stack []key.K
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(bucketScratch) }}
-
-// grow sizes the sink-side arrays for n sinks and zeroes the accumulators.
-func (sc *bucketScratch) grow(n int) {
-	if cap(sc.sx) < n {
-		sc.sx = make([]float64, n)
-		sc.sy = make([]float64, n)
-		sc.sz = make([]float64, n)
-		sc.ax = make([]float64, n)
-		sc.ay = make([]float64, n)
-		sc.az = make([]float64, n)
-		sc.pp = make([]float64, n)
-	}
-	sc.sx, sc.sy, sc.sz = sc.sx[:n], sc.sy[:n], sc.sz[:n]
-	sc.ax, sc.ay, sc.az, sc.pp = sc.ax[:n], sc.ay[:n], sc.az[:n], sc.pp[:n]
-	for i := 0; i < n; i++ {
-		sc.ax[i], sc.ay[i], sc.az[i], sc.pp[i] = 0, 0, 0, 0
-	}
-}
 
 // bucketWalker is one leaf bucket's suspended traversal state.
 type bucketWalker struct {
@@ -135,8 +112,14 @@ func (p *evalPool) wait() { p.wg.Wait() }
 // close releases the worker goroutines.
 func (p *evalPool) close() { close(p.jobs) }
 
-// computeForcesGrouped is the bucket-grouped engine.
-func (dt *DTree) computeForcesGrouped(bodies []Body) ([]vec.V3, []float64, TraversalStats) {
+// ComputeForces evaluates the gravitational field at every local body using
+// the distributed tree, returning accelerations, potentials and work stats.
+// All ranks must call it collectively (it quiesces the ABM traffic).
+// Transient caches from any previous evaluation on this tree are dropped
+// first, so repeated evaluations do not accumulate unbounded state.
+func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalStats) {
+	dt.resetCaches()
+	defer dt.r.Span("phase", "walk")()
 	acc := make([]vec.V3, len(bodies))
 	pot := make([]float64, len(bodies))
 	var st TraversalStats
@@ -157,8 +140,8 @@ func (dt *DTree) computeForcesGrouped(bodies []Body) ([]vec.V3, []float64, Trave
 		w.cell = c
 		w.center, w.radius = c.BoundingSphere()
 		w.stack = append(w.stack[:0], key.Root)
-		w.cells.Reset()
-		w.srcs.Reset()
+		w.Cells.Reset()
+		w.Srcs.Reset()
 		w.queued = true
 		runnable = append(runnable, w)
 	}
@@ -178,7 +161,7 @@ func (dt *DTree) computeForcesGrouped(bodies []Body) ([]vec.V3, []float64, Trave
 		dt.requestCell(k, owner, &st, func(reply fetchReply) {
 			w.blocked--
 			if reply.Bodies != nil {
-				w.srcs.PushSources(reply.Bodies)
+				w.Srcs.PushSources(reply.Bodies)
 			} else {
 				for _, c := range reply.Children {
 					w.stack = append(w.stack, c.Key)
@@ -234,12 +217,12 @@ func (dt *DTree) runBucket(w *bucketWalker, fetch func(*bucketWalker, key.K, int
 			panic("core: traversal reached unknown cell " + k.String())
 		}
 		if info.Owner == dt.r.ID() {
-			dt.walkLocalBucket(w, k)
+			dt.local.WalkLocal(&w.BucketList, k, w.center, w.radius, theta)
 			continue
 		}
 		d := info.Mp.COM.Dist(w.center) - w.radius
 		if htree.AcceptMAC(d, info.Bmax, theta) {
-			w.cells.Push(&info.Mp)
+			w.Cells.Push(&info.Mp)
 			continue
 		}
 		if info.Owner == -1 {
@@ -253,7 +236,7 @@ func (dt *DTree) runBucket(w *bucketWalker, fetch func(*bucketWalker, key.K, int
 		}
 		if info.Leaf {
 			if src, ok := dt.bodiesCacheGet(k); ok {
-				w.srcs.PushSources(src)
+				w.Srcs.PushSources(src)
 				continue
 			}
 			fetch(w, k, info.Owner)
@@ -271,45 +254,12 @@ func (dt *DTree) runBucket(w *bucketWalker, fetch func(*bucketWalker, key.K, int
 	}
 }
 
-// walkLocalBucket walks a fully local subtree for the bucket, using the
-// walker's own local stack (buckets suspend independently, so the scratch
-// cannot be shared across walkers like the per-body engine's).
-func (dt *DTree) walkLocalBucket(w *bucketWalker, root key.K) {
-	theta := dt.opt.Theta
-	stack := append(w.lstack[:0], root)
-	for len(stack) > 0 {
-		k := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		c, ok := dt.local.Cell(k)
-		if !ok {
-			panic("core: local walk missed cell")
-		}
-		d := c.Mp.COM.Dist(w.center) - w.radius
-		if !c.Leaf && htree.AcceptMAC(d, c.Bmax, theta) {
-			w.cells.Push(&c.Mp)
-			continue
-		}
-		if c.Leaf {
-			for i := c.Lo; i < c.Hi; i++ {
-				w.srcs.Push(dt.local.Bodies[i].Pos, dt.local.Bodies[i].Mass)
-			}
-			continue
-		}
-		for oct := 0; oct < 8; oct++ {
-			if c.ChildMask&(1<<uint(oct)) != 0 {
-				stack = append(stack, k.Child(oct))
-			}
-		}
-	}
-	w.lstack = stack[:0]
-}
-
 // finishBucket accounts the bucket's work deterministically (counts derive
 // from list lengths alone) and hands the numeric evaluation to the pool.
 func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func(), pool *evalPool, canonicalize bool, acc []vec.V3, pot []float64) {
 	ns := w.cell.Hi - w.cell.Lo
-	nc := w.cells.Len()
-	nb := w.srcs.Len()
+	nc := w.Cells.Len()
+	nb := w.Srcs.Len()
 	dt.cBuckets.Inc()
 	dt.cListCells.Add(int64(nc))
 	dt.cListBodies.Add(int64(nb))
@@ -328,35 +278,16 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 	}
 	charge()
 	pool.submit(func() {
-		dt.evalBucket(w, canonicalize, acc, pot)
+		// Runs on a pool worker: it touches only the walker's own scratch,
+		// the read-only local tree, and the bucket's disjoint slice of the
+		// output arrays.
+		if canonicalize {
+			w.Cells.Sort()
+			w.Srcs.Sort()
+		}
+		dt.local.EvalBucket(&w.BucketList, w.cell, dt.opt.Eps, dt.opt.UseKarp, dt.opt.Precision, acc, pot)
 		sc := w.bucketScratch
 		w.bucketScratch = nil
 		scratchPool.Put(sc)
 	})
-}
-
-// evalBucket applies the finished interaction list to every sink in the
-// bucket. It runs on a pool worker: it touches only the walker's own
-// scratch, the read-only body array, and the bucket's disjoint slice of the
-// output arrays.
-func (dt *DTree) evalBucket(w *bucketWalker, canonicalize bool, acc []vec.V3, pot []float64) {
-	if canonicalize {
-		w.cells.Sort()
-		w.srcs.Sort()
-	}
-	lo, hi := w.cell.Lo, w.cell.Hi
-	ns := hi - lo
-	sc := w.bucketScratch
-	sc.grow(ns)
-	for j := 0; j < ns; j++ {
-		p := dt.local.Bodies[lo+j].Pos
-		sc.sx[j], sc.sy[j], sc.sz[j] = p[0], p[1], p[2]
-	}
-	sc.ev.Eps, sc.ev.UseKarp, sc.ev.Prec = dt.opt.Eps, dt.opt.UseKarp, dt.opt.Precision
-	sc.ev.EvalList(&sc.cells, &sc.srcs, sc.sx, sc.sy, sc.sz, sc.ax, sc.ay, sc.az, sc.pp)
-	for j := 0; j < ns; j++ {
-		id := dt.local.Bodies[lo+j].ID
-		acc[id] = vec.V3{sc.ax[j], sc.ay[j], sc.az[j]}
-		pot[id] = sc.pp[j]
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spacesim/internal/gravity"
+	"spacesim/internal/htree"
 	"spacesim/internal/key"
 	"spacesim/internal/mp"
 	"spacesim/internal/vec"
@@ -31,10 +32,11 @@ func forcesWith(ics []Body, p int, opt Options) ([]vec.V3, []float64) {
 	return acc, pot
 }
 
-// The grouped engine must match the per-body engine within the MAC error
-// bound: its bucket-level MAC is strictly more conservative (the opening
-// radius is widened by the bucket's bounding sphere), so its error versus
-// direct summation must not exceed the per-body engine's regime.
+// The grouped engine must match the per-body HOT walk (htree.AccelAll)
+// within the MAC error bound: its bucket-level MAC is strictly more
+// conservative (the opening radius is widened by the bucket's bounding
+// sphere), so its error versus direct summation must not exceed the
+// per-body walk's regime.
 func TestGroupedMatchesPerBodyEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	const n = 600
@@ -46,11 +48,15 @@ func TestGroupedMatchesPerBodyEngine(t *testing.T) {
 	}
 	eps := 0.02
 	ref, _ := gravity.Direct(pos, mass, eps)
+	tr, err := htree.Build(pos, mass, htree.Options{MaxLeaf: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perBody, _, _ := tr.AccelAll(0.5, eps, false)
+	rmsP := rmsAccErr(perBody, ref)
 
 	for _, p := range []int{1, 3} {
 		grouped, _ := forcesWith(ics, p, Options{Theta: 0.5, Eps: eps})
-		perBody, _ := forcesWith(ics, p, Options{Theta: 0.5, Eps: eps, PerBody: true})
-		rmsP := rmsAccErr(perBody, ref)
 		rmsG := rmsAccErr(grouped, ref)
 		if rmsG > rmsP*1.05+1e-12 {
 			t.Fatalf("p=%d: grouped rms error %g exceeds per-body %g", p, rmsG, rmsP)

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"math"
-
 	"spacesim/internal/gravity"
-	"spacesim/internal/htree"
 	"spacesim/internal/key"
-	"spacesim/internal/vec"
 )
 
 // The latency-hiding traversal (Section 4.2): "to avoid stalls during
@@ -14,36 +10,19 @@ import (
 // a software queue to keep track of which computations have been put aside
 // waiting for messages to arrive."
 //
-// Two engines share the fetch machinery below. The default is the
-// bucket-grouped engine (grouped.go): one walker per leaf bucket builds an
-// interaction list evaluated for all of the bucket's bodies by the batched
-// SoA kernels, optionally on a pool of host workers. The original
-// one-walker-per-body engine is kept behind Options.PerBody for A/B
-// validation: each local body owns a stack of pending cell keys, and when a
-// walker needs a non-local cell that is not yet cached, the expansion
-// request is batched through the ABM layer and the engine moves on to other
-// walkers. Responses re-enable walkers through their continuations.
+// The force engine (grouped.go) runs one walker per local leaf bucket. A
+// walker's pending stack holds global cell keys; cells this rank owns are
+// walked by htree's local bucket walk (Tree.WalkLocal), the same code
+// AccelAllGrouped runs. Only non-local cells are handled here: the MAC is
+// tested on their replicated metadata, and when an opened cell's children
+// or bodies are not yet cached the expansion request is batched through
+// the ABM layer and the engine moves on to other walkers. Responses
+// re-enable walkers through their continuations. Finished lists are
+// evaluated by htree's Tree.EvalBucket on a pool of host workers.
 
 // cellFlops is the accounted flop cost of one cell-body (quadrupole)
 // interaction; body-body interactions cost gravity.KernelFlops.
 const cellFlops = 70
-
-// perBodyStackCap is the arena-slab capacity reserved per walker stack in
-// the per-body engine; deeper excursions fall back to append growth.
-const perBodyStackCap = 32
-
-// walker is one body's suspended traversal state (per-body engine).
-type walker struct {
-	idx     int // local body index
-	p       vec.V3
-	acc     vec.V3
-	pot     float64
-	stack   []key.K
-	blocked int
-	queued  bool
-	done    bool
-	work    int64 // interactions charged to this body
-}
 
 // TraversalStats aggregates the work of a force evaluation on one rank.
 type TraversalStats struct {
@@ -51,29 +30,15 @@ type TraversalStats struct {
 	CellInteractions int64
 	Fetches          int64
 	Flops            float64
-	// Buckets is the number of leaf buckets walked (grouped engine only).
+	// Buckets is the number of leaf buckets walked.
 	Buckets int64
 	// PerBody is the interaction count of each local body, the work weight
 	// fed back into the next domain decomposition.
 	PerBody []float64
 }
 
-// ComputeForces evaluates the gravitational field at every local body using
-// the distributed tree, returning accelerations, potentials and work stats.
-// All ranks must call it collectively (it quiesces the ABM traffic).
-// Transient caches from any previous evaluation on this tree are dropped
-// first, so repeated evaluations do not accumulate unbounded state.
-func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalStats) {
-	dt.resetCaches()
-	defer dt.r.Span("phase", "walk")()
-	if dt.opt.PerBody {
-		return dt.computeForcesPerBody(bodies)
-	}
-	return dt.computeForcesGrouped(bodies)
-}
-
 // chargeFunc converts interaction counts accumulated since the last call
-// into virtual compute time; engines call it at deterministic points so
+// into virtual compute time; the engine calls it at deterministic points so
 // virtual-time accounting does not depend on evaluation concurrency.
 func (dt *DTree) chargeFunc(st *TraversalStats) func() {
 	var lastBody, lastCell int64
@@ -87,147 +52,6 @@ func (dt *DTree) chargeFunc(st *TraversalStats) func() {
 		st.Flops += flops
 		dt.r.Charge(flops, dt.opt.KernelEff, float64(db+dc)*32)
 		lastBody, lastCell = st.BodyInteractions, st.CellInteractions
-	}
-}
-
-// computeForcesPerBody is the seed engine: one walker per local body.
-func (dt *DTree) computeForcesPerBody(bodies []Body) ([]vec.V3, []float64, TraversalStats) {
-	eps2 := dt.opt.Eps * dt.opt.Eps
-	acc := make([]vec.V3, len(bodies))
-	pot := make([]float64, len(bodies))
-	var st TraversalStats
-	st.PerBody = make([]float64, len(bodies))
-
-	// Walkers live in one slab and their stacks start in one arena, so the
-	// setup costs two allocations instead of O(n).
-	walkers := make([]walker, len(bodies))
-	arena := make([]key.K, len(bodies)*perBodyStackCap)
-	runnable := make([]*walker, 0, len(bodies))
-	for i := range bodies {
-		w := &walkers[i]
-		w.idx = i
-		w.p = bodies[i].Pos
-		w.stack = arena[i*perBodyStackCap : i*perBodyStackCap : (i+1)*perBodyStackCap]
-		w.stack = append(w.stack, key.Root)
-		w.queued = true
-		runnable = append(runnable, w)
-	}
-	remaining := len(walkers)
-
-	charge := dt.chargeFunc(&st)
-
-	finish := func(w *walker) {
-		if !w.done && len(w.stack) == 0 && w.blocked == 0 {
-			w.done = true
-			acc[w.idx] = w.acc
-			pot[w.idx] = w.pot
-			st.PerBody[w.idx] = float64(w.work)
-			remaining--
-		}
-	}
-
-	// resume is called by fetch continuations to hand data to walkers. A
-	// walker is re-queued only when it is not already on the runnable queue:
-	// with several fetches outstanding, every reply used to append it again,
-	// producing duplicate queue entries and redundant runWalker calls.
-	resume := func(w *walker, reply fetchReply) {
-		w.blocked--
-		if reply.Bodies != nil {
-			dt.interactBodies(w, reply.Bodies, eps2, &st)
-		} else {
-			for _, c := range reply.Children {
-				w.stack = append(w.stack, c.Key)
-			}
-		}
-		if !w.done && !w.queued {
-			w.queued = true
-			runnable = append(runnable, w)
-		}
-	}
-
-	fetch := func(w *walker, k key.K, owner int) {
-		w.blocked++
-		dt.requestCell(k, owner, &st, func(reply fetchReply) { resume(w, reply) })
-	}
-
-	for remaining > 0 {
-		if len(runnable) == 0 {
-			// Everyone is blocked on remote data: push batches out and poll.
-			dt.abm.FlushAll()
-			if dt.abm.Poll() == 0 {
-				// Hand the execution slot to the rank we are waiting on
-				// (required under the event engine's bounded worker pool).
-				dt.r.Yield()
-			}
-			continue
-		}
-		w := runnable[len(runnable)-1]
-		runnable = runnable[:len(runnable)-1]
-		w.queued = false
-		if w.done {
-			continue
-		}
-		dt.runWalker(w, eps2, &st, fetch)
-		finish(w)
-		charge()
-		dt.abm.Poll()
-	}
-	charge()
-	dt.abm.Quiesce()
-	return acc, pot, st
-}
-
-// runWalker drains the walker's stack as far as possible without waiting.
-func (dt *DTree) runWalker(w *walker, eps2 float64, st *TraversalStats, fetch func(*walker, key.K, int)) {
-	theta := dt.opt.Theta
-	for len(w.stack) > 0 {
-		k := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
-		info, ok := dt.remote[k]
-		if !ok {
-			panic("core: traversal reached unknown cell " + k.String())
-		}
-		if info.Owner == dt.r.ID() {
-			dt.walkLocal(w, k, eps2, st)
-			continue
-		}
-		d := info.Mp.COM.Dist(w.p)
-		if htree.AcceptMAC(d, info.Bmax, theta) {
-			a, p := info.Mp.AccelAt(w.p, dt.opt.Eps)
-			w.acc = w.acc.Add(a)
-			w.pot += p
-			st.CellInteractions++
-			w.work++
-			continue
-		}
-		if info.Owner == -1 {
-			// Fill cell: children are replicated, push them directly.
-			for oct := 0; oct < 8; oct++ {
-				if info.ChildMask&(1<<uint(oct)) != 0 {
-					w.stack = append(w.stack, k.Child(oct))
-				}
-			}
-			continue
-		}
-		// Remote cell that must be opened.
-		if info.Leaf {
-			if src, ok := dt.bodiesCacheGet(k); ok {
-				dt.interactBodies(w, src, eps2, st)
-				continue
-			}
-			fetch(w, k, info.Owner)
-			continue
-		}
-		// Internal: use cached children when all are present.
-		if dt.childrenCached(k, info) {
-			for oct := 0; oct < 8; oct++ {
-				if info.ChildMask&(1<<uint(oct)) != 0 {
-					w.stack = append(w.stack, k.Child(oct))
-				}
-			}
-			continue
-		}
-		fetch(w, k, info.Owner)
 	}
 }
 
@@ -245,74 +69,4 @@ func (dt *DTree) childrenCached(k key.K, info cellInfo) bool {
 		}
 	}
 	return true
-}
-
-// walkLocal traverses a fully local subtree without hash misses. The stack
-// is a DTree-level scratch buffer: the per-body engine is single-threaded,
-// so one buffer serves every call without reallocating.
-func (dt *DTree) walkLocal(w *walker, root key.K, eps2 float64, st *TraversalStats) {
-	theta := dt.opt.Theta
-	useKarp := dt.opt.UseKarp
-	stack := append(dt.lstack[:0], root)
-	for len(stack) > 0 {
-		k := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		c, ok := dt.local.Cell(k)
-		if !ok {
-			panic("core: local walk missed cell")
-		}
-		d := c.Mp.COM.Dist(w.p)
-		if !c.Leaf && htree.AcceptMAC(d, c.Bmax, theta) {
-			a, p := c.Mp.AccelAt(w.p, dt.opt.Eps)
-			w.acc = w.acc.Add(a)
-			w.pot += p
-			st.CellInteractions++
-			w.work++
-			continue
-		}
-		if c.Leaf {
-			for i := c.Lo; i < c.Hi; i++ {
-				b := &dt.local.Bodies[i]
-				dv := b.Pos.Sub(w.p)
-				r2 := dv.Norm2()
-				if r2 == 0 {
-					continue
-				}
-				r2 += eps2
-				var rinv float64
-				if useKarp {
-					rinv = gravity.KarpRsqrt(r2)
-				} else {
-					rinv = 1 / math.Sqrt(r2)
-				}
-				rinv3 := rinv * rinv * rinv
-				w.acc = w.acc.AddScaled(b.Mass*rinv3, dv)
-				w.pot -= b.Mass * rinv
-				st.BodyInteractions++
-				w.work++
-			}
-			continue
-		}
-		for oct := 0; oct < 8; oct++ {
-			if c.ChildMask&(1<<uint(oct)) != 0 {
-				stack = append(stack, k.Child(oct))
-			}
-		}
-	}
-	dt.lstack = stack[:0]
-}
-
-// interactBodies applies direct interactions from fetched remote bodies.
-func (dt *DTree) interactBodies(w *walker, src []gravity.Source, eps2 float64, st *TraversalStats) {
-	var a vec.V3
-	var p float64
-	if dt.opt.UseKarp {
-		a, p = gravity.KernelKarp(w.p, src, eps2)
-	} else {
-		a, p = gravity.KernelLibm(w.p, src, eps2)
-	}
-	w.acc = w.acc.Add(a)
-	w.pot += p
-	st.BodyInteractions += int64(len(src))
-	w.work += int64(len(src))
 }

@@ -59,11 +59,8 @@ type Options struct {
 	// kernel sustains when charging virtual time (default: the Karp
 	// micro-kernel rate of the SS CPU model, as in Table 6).
 	KernelEff float64
-	// PerBody selects the seed one-walker-per-body traversal instead of
-	// the default bucket-grouped engine (kept for A/B validation).
-	PerBody bool
 	// Workers is the number of host goroutines evaluating bucket
-	// interaction lists in the grouped engine and running the tree-build
+	// interaction lists in the force engine and running the tree-build
 	// pipeline (default runtime.GOMAXPROCS(0)). Results are bit-identical
 	// for any value.
 	Workers int

@@ -54,82 +54,88 @@ func (c *Cell) BoundingSphere() (center vec.V3, radius float64) {
 	return c.Mp.COM, c.Bmax
 }
 
-// groupScratch is the per-worker reusable buffer set of the grouped walk.
-// The evaluator rides along so the Float32 mode's conversion scratch is
-// reused across buckets too.
-type groupScratch struct {
+// BucketList is one bucket's interaction list — accepted cell multipoles
+// and direct-interaction bodies in SoA layout — together with the reusable
+// scratch that evaluates it. The evaluator rides along so the Float32
+// mode's conversion scratch is reused across buckets too. A BucketList is
+// owned by one goroutine at a time; its capacity carries over from bucket
+// to bucket.
+type BucketList struct {
+	Cells gravity.MultipoleSoA
+	Srcs  gravity.SoA
+
 	stack          []key.K
-	cells          gravity.MultipoleSoA
-	srcs           gravity.SoA
 	sx, sy, sz     []float64
 	ax, ay, az, pp []float64
 	ev             gravity.Evaluator
 }
 
 // grow resizes the sink-side arrays to n sinks, zeroing the accumulators.
-func (sc *groupScratch) grow(n int) {
-	if cap(sc.sx) < n {
-		sc.sx = make([]float64, n)
-		sc.sy = make([]float64, n)
-		sc.sz = make([]float64, n)
-		sc.ax = make([]float64, n)
-		sc.ay = make([]float64, n)
-		sc.az = make([]float64, n)
-		sc.pp = make([]float64, n)
+func (l *BucketList) grow(n int) {
+	if cap(l.sx) < n {
+		l.sx = make([]float64, n)
+		l.sy = make([]float64, n)
+		l.sz = make([]float64, n)
+		l.ax = make([]float64, n)
+		l.ay = make([]float64, n)
+		l.az = make([]float64, n)
+		l.pp = make([]float64, n)
 	}
-	sc.sx, sc.sy, sc.sz = sc.sx[:n], sc.sy[:n], sc.sz[:n]
-	sc.ax, sc.ay, sc.az, sc.pp = sc.ax[:n], sc.ay[:n], sc.az[:n], sc.pp[:n]
+	l.sx, l.sy, l.sz = l.sx[:n], l.sy[:n], l.sz[:n]
+	l.ax, l.ay, l.az, l.pp = l.ax[:n], l.ay[:n], l.az[:n], l.pp[:n]
 	for i := 0; i < n; i++ {
-		sc.ax[i], sc.ay[i], sc.az[i], sc.pp[i] = 0, 0, 0, 0
+		l.ax[i], l.ay[i], l.az[i], l.pp[i] = 0, 0, 0, 0
 	}
 }
 
-// gatherList walks the tree once for the bucket, accumulating accepted
-// cells and direct-interaction bodies into the scratch buffers.
-func (t *Tree) gatherList(bucket *Cell, theta float64, sc *groupScratch, st *WalkStats) {
-	center, radius := bucket.Mp.COM, bucket.Bmax
-	sc.stack = append(sc.stack[:0], key.Root)
-	sc.cells.Reset()
-	sc.srcs.Reset()
-	for len(sc.stack) > 0 {
-		k := sc.stack[len(sc.stack)-1]
-		sc.stack = sc.stack[:len(sc.stack)-1]
+// WalkLocal walks the subtree under root for a bucket whose bounding
+// sphere is (center, radius), appending accepted cells and
+// direct-interaction bodies to l. Every cell of the subtree must be in
+// this tree. It returns the number of cells opened.
+func (t *Tree) WalkLocal(l *BucketList, root key.K, center vec.V3, radius, theta float64) (opened int) {
+	l.stack = append(l.stack[:0], root)
+	for len(l.stack) > 0 {
+		k := l.stack[len(l.stack)-1]
+		l.stack = l.stack[:len(l.stack)-1]
 		c := t.store.get(k)
 		d := c.Mp.COM.Dist(center) - radius
 		if !c.Leaf && AcceptMAC(d, c.Bmax, theta) {
-			sc.cells.Push(&c.Mp)
+			l.Cells.Push(&c.Mp)
 			continue
 		}
 		if c.Leaf {
 			for i := c.Lo; i < c.Hi; i++ {
-				sc.srcs.Push(t.Bodies[i].Pos, t.Bodies[i].Mass)
+				l.Srcs.Push(t.Bodies[i].Pos, t.Bodies[i].Mass)
 			}
 			continue
 		}
-		st.CellsOpened++
+		opened++
 		for oct := 0; oct < 8; oct++ {
 			if c.ChildMask&(1<<uint(oct)) != 0 {
-				sc.stack = append(sc.stack, k.Child(oct))
+				l.stack = append(l.stack, k.Child(oct))
 			}
 		}
 	}
+	return opened
 }
 
-// evalBucket applies the gathered list to every body of the bucket,
-// scattering results by original body ID.
-func (t *Tree) evalBucket(bucket *Cell, eps float64, useKarp bool, prec gravity.Precision, sc *groupScratch, acc []vec.V3, pot []float64) {
+// EvalBucket applies l's list to every body of the bucket, scattering
+// results by body ID into acc and pot. It touches only l, the read-only
+// body array and the bucket's own entries of the outputs, so buckets may
+// be evaluated concurrently.
+func (t *Tree) EvalBucket(l *BucketList, bucket *Cell, eps float64, useKarp bool, prec gravity.Precision, acc []vec.V3, pot []float64) {
 	ns := bucket.Hi - bucket.Lo
-	sc.grow(ns)
+	l.grow(ns)
 	for j := 0; j < ns; j++ {
 		p := t.Bodies[bucket.Lo+j].Pos
-		sc.sx[j], sc.sy[j], sc.sz[j] = p[0], p[1], p[2]
+		l.sx[j], l.sy[j], l.sz[j] = p[0], p[1], p[2]
 	}
-	sc.ev.Eps, sc.ev.UseKarp, sc.ev.Prec = eps, useKarp, prec
-	sc.ev.EvalList(&sc.cells, &sc.srcs, sc.sx, sc.sy, sc.sz, sc.ax, sc.ay, sc.az, sc.pp)
+	l.ev.Eps, l.ev.UseKarp, l.ev.Prec = eps, useKarp, prec
+	l.ev.EvalList(&l.Cells, &l.Srcs, l.sx, l.sy, l.sz, l.ax, l.ay, l.az, l.pp)
 	for j := 0; j < ns; j++ {
 		id := t.Bodies[bucket.Lo+j].ID
-		acc[id] = vec.V3{sc.ax[j], sc.ay[j], sc.az[j]}
-		pot[id] = sc.pp[j]
+		acc[id] = vec.V3{l.ax[j], l.ay[j], l.az[j]}
+		pot[id] = l.pp[j]
 	}
 }
 
@@ -162,18 +168,21 @@ func (t *Tree) AccelAllGrouped(theta, eps float64, useKarp bool, prec gravity.Pr
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			var sc groupScratch
+			var l BucketList
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= len(leaves) {
 					return
 				}
 				b := leaves[i]
-				t.gatherList(b, theta, &sc, &stats[i])
+				l.Cells.Reset()
+				l.Srcs.Reset()
+				center, radius := b.BoundingSphere()
+				stats[i].CellsOpened = t.WalkLocal(&l, key.Root, center, radius, theta)
 				ns := b.Hi - b.Lo
-				stats[i].CellInteractions += ns * sc.cells.Len()
-				stats[i].BodyInteractions += ns*sc.srcs.Len() - ns
-				t.evalBucket(b, eps, useKarp, prec, &sc, acc, pot)
+				stats[i].CellInteractions = ns * l.Cells.Len()
+				stats[i].BodyInteractions = ns*l.Srcs.Len() - ns
+				t.EvalBucket(&l, b, eps, useKarp, prec, acc, pot)
 			}
 		}()
 	}
