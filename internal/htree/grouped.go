@@ -93,10 +93,10 @@ func (l *BucketList) grow(n int) {
 // direct-interaction bodies to l. Every cell of the subtree must be in
 // this tree. It returns the number of cells opened.
 func (t *Tree) WalkLocal(l *BucketList, root key.K, center vec.V3, radius, theta float64) (opened int) {
-	l.stack = append(l.stack[:0], root)
-	for len(l.stack) > 0 {
-		k := l.stack[len(l.stack)-1]
-		l.stack = l.stack[:len(l.stack)-1]
+	stack := append(l.stack[:0], root)
+	for len(stack) > 0 {
+		k := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		c := t.store.get(k)
 		d := c.Mp.COM.Dist(center) - radius
 		if !c.Leaf && AcceptMAC(d, c.Bmax, theta) {
@@ -112,10 +112,11 @@ func (t *Tree) WalkLocal(l *BucketList, root key.K, center vec.V3, radius, theta
 		opened++
 		for oct := 0; oct < 8; oct++ {
 			if c.ChildMask&(1<<uint(oct)) != 0 {
-				l.stack = append(l.stack, k.Child(oct))
+				stack = append(stack, k.Child(oct))
 			}
 		}
 	}
+	l.stack = stack[:0]
 	return opened
 }
 
