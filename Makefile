@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke scale-smoke live-smoke ledger-smoke serve-smoke perfbench-smoke ci all
+.PHONY: build test race vet fmt-check bench smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke scale-smoke live-smoke ledger-smoke serve-smoke perfbench-smoke all-smoke ci all
 
 all: build test vet fmt-check
 
@@ -58,8 +58,8 @@ fault-smoke:
 
 # Tree-construction smoke: a quick seed-vs-pipeline build benchmark (which
 # itself verifies bit-identity across worker counts and exits nonzero on
-# divergence), schema-validation of the v4 bench record, and a self-diff
-# through the bench arm of the perf gate.
+# divergence), validation of the bench record's treebuild block, and a
+# self-diff through the bench arm of the perf gate.
 treebuild-smoke:
 	$(GO) run ./cmd/ssbench treebuild -quick -o /tmp/spacesim-smoke-treebuild.json
 	$(GO) run ./cmd/tracecheck -bench /tmp/spacesim-smoke-treebuild.json
@@ -68,8 +68,9 @@ treebuild-smoke:
 # Kernel smoke: a quick variant x length x precision sweep of the force
 # kernels (which itself verifies the default float64 path is bit-identical
 # to the scalar reference and that the float32 RMS error stays inside the
-# pinned budget, exiting nonzero on either breach), schema-validation of
-# the v8 bench record, and a self-diff through the bench arm of the gate.
+# pinned budget, exiting nonzero on either breach), validation of the
+# bench record's kernels block, and a self-diff through the bench arm of the
+# gate.
 kernels-smoke:
 	$(GO) run ./cmd/ssbench kernels -quick -o /tmp/spacesim-smoke-kernels.json
 	$(GO) run ./cmd/tracecheck -bench /tmp/spacesim-smoke-kernels.json
@@ -78,8 +79,8 @@ kernels-smoke:
 # Engine-scaling smoke: a small rank-count sweep under both the goroutine
 # oracle and the discrete-event scheduler (the sweep itself verifies that
 # their virtual schedules are bit-identical and exits nonzero on
-# divergence), schema-validation of the v5 bench record, and a self-diff
-# through the bench arm of the perf gate.
+# divergence), validation of the bench record's scale block, and a
+# self-diff through the bench arm of the perf gate.
 scale-smoke:
 	$(GO) run ./cmd/ssbench scale -quick -o /tmp/spacesim-smoke-scale.json
 	$(GO) run ./cmd/tracecheck -bench /tmp/spacesim-smoke-scale.json
@@ -187,8 +188,23 @@ serve-smoke:
 perfbench-smoke:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# Whole-suite smoke: every in-process experiment at quick size in one
+# invocation, so group, kernels and treebuild merge into one fresh bench
+# record and share the invocation's observer. The record (engine results
+# with their metrics, distributed and analysis blocks, plus the treebuild
+# and kernels blocks) and the analysis report are validated, and the record
+# passes a self-diff through the bench arm of the perf gate.
+all-smoke:
+	rm -f /tmp/spacesim-smoke-all-bench.json /tmp/spacesim-smoke-all-analysis.json
+	$(GO) run ./cmd/ssbench -quick -ledger "" all \
+		-o /tmp/spacesim-smoke-all-bench.json -analysis-out /tmp/spacesim-smoke-all-analysis.json \
+		>/tmp/spacesim-smoke-all.log || { tail -20 /tmp/spacesim-smoke-all.log; exit 1; }
+	$(GO) run ./cmd/tracecheck -bench /tmp/spacesim-smoke-all-bench.json \
+		-analysis /tmp/spacesim-smoke-all-analysis.json
+	$(GO) run ./cmd/ssbench diff /tmp/spacesim-smoke-all-bench.json /tmp/spacesim-smoke-all-bench.json
+
 # Full local CI pass: formatting, static checks, tests, race detector, and
 # the observability + trace-analysis + fault-injection + tree-build +
 # engine-scaling + live-telemetry + run-ledger + job-server + benchmark-module
-# smoke runs.
-ci: fmt-check vet test race smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke scale-smoke live-smoke ledger-smoke serve-smoke perfbench-smoke
+# + whole-suite smoke runs.
+ci: fmt-check vet test race smoke analyze-smoke fault-smoke treebuild-smoke kernels-smoke scale-smoke live-smoke ledger-smoke serve-smoke perfbench-smoke all-smoke

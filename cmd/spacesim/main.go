@@ -49,6 +49,7 @@ import (
 	"spacesim/internal/netsim"
 	"spacesim/internal/obs"
 	"spacesim/internal/obs/analysis"
+	"spacesim/internal/obs/artifact"
 	"spacesim/internal/obs/ledger"
 	"spacesim/internal/obs/live"
 	"spacesim/internal/pario"
@@ -315,7 +316,7 @@ func appendRun(dir string, cfg ledger.Config, artifactPath string, res core.Resu
 	if artifactPath != "" {
 		if data, err := os.ReadFile(artifactPath); err == nil {
 			artifacts = map[string][]byte{filepath.Base(artifactPath): data}
-			for k, v := range ledger.ExtractMetrics(data) {
+			for k, v := range artifact.Headlines(data) {
 				metrics[k] = v
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"spacesim/internal/machine"
 	"spacesim/internal/netsim"
 	"spacesim/internal/obs/analysis"
+	"spacesim/internal/obs/artifact"
 	"spacesim/internal/obs/ledger"
 )
 
@@ -79,8 +80,8 @@ func analyzeBench() {
 }
 
 // diffCmd compares two ANALYSIS.json files — or two BENCH_treecode.json
-// records, detected by their schema_version field — and exits nonzero when
-// the new run regressed past the thresholds. This is the CI perf gate.
+// records, told apart by artifact.Sniff — and exits nonzero when the new
+// run regressed past the thresholds. This is the CI perf gate.
 func diffCmd(args []string) {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	th := analysis.DefaultThresholds()
@@ -128,26 +129,21 @@ func diffCmd(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	oldBench, newBench := isBenchFile(fs.Arg(0)), isBenchFile(fs.Arg(1))
+	oldBench, newBench := isBench(fs.Arg(0)), isBench(fs.Arg(1))
 	if oldBench != newBench {
 		fmt.Fprintln(os.Stderr, "diff: cannot compare a bench record with an analysis report")
 		os.Exit(2)
 	}
 	if oldBench {
-		oldRep, newRep := readGroupReport(fs.Arg(0)), readGroupReport(fs.Arg(1))
-		if newRep.Treebuild == nil && newRep.Scale == nil && newRep.Kernels == nil {
+		oldRep, newRep := readBench(fs.Arg(0)), readBench(fs.Arg(1))
+		gates := benchGates(oldRep, newRep, *treebuildFrac, *scaleFrac, *kernelFrac)
+		if len(gates) == 0 {
 			fmt.Fprintf(os.Stderr, "diff: %s has no treebuild, scale, or kernels block (run `ssbench treebuild`, `ssbench scale`, or `ssbench kernels`)\n", fs.Arg(1))
 			os.Exit(2)
 		}
 		ok := true
-		if newRep.Treebuild != nil {
-			ok = diffTreebuild(oldRep, newRep, fs.Arg(0), *treebuildFrac) && ok
-		}
-		if newRep.Scale != nil {
-			ok = diffScale(oldRep, newRep, fs.Arg(0), *scaleFrac) && ok
-		}
-		if newRep.Kernels != nil {
-			ok = diffKernels(oldRep, newRep, fs.Arg(0), *kernelFrac) && ok
+		for _, g := range gates {
+			ok = g.run(fs.Arg(0)) && ok
 		}
 		if !ok {
 			os.Exit(1)
@@ -182,7 +178,7 @@ func diffBaseline(newPath, ledgerPath string, lastK int, allowCross bool) {
 		fmt.Fprintln(os.Stderr, "diff:", err)
 		os.Exit(2)
 	}
-	prov, ok := ledger.ExtractProvenance(data)
+	prov, ok := artifact.ExtractProvenance(data)
 	if !ok || prov.ConfigDigest == "" {
 		fmt.Fprintf(os.Stderr, "diff: %s carries no provenance config digest; regenerate it with a current ssbench\n", newPath)
 		os.Exit(2)
@@ -222,7 +218,7 @@ func diffBaseline(newPath, ledgerPath string, lastK int, allowCross bool) {
 			prov.ConfigDigest, st.Dir)
 		return
 	}
-	trends := ledger.GateAgainst(base, ledger.ExtractMetrics(data), lastK)
+	trends := ledger.GateAgainst(base, artifact.Headlines(data), lastK)
 	printTrends(trends)
 	if ledger.AnyRegression(trends) {
 		fmt.Printf("diff: FAIL (baseline of %d comparable runs)\n", len(base))
@@ -239,4 +235,27 @@ func hasArtifactDigest(rec ledger.Record, digest string) bool {
 		}
 	}
 	return false
+}
+
+// isBench reports whether the file at path is a bench record. Unreadable or
+// non-JSON files report false and are left for the analysis reader to
+// diagnose.
+func isBench(path string) bool {
+	data, err := os.ReadFile(path)
+	return err == nil && artifact.Sniff(data) == artifact.KindBench
+}
+
+// readBench strictly decodes a bench record, exiting with the diff usage
+// code on unreadable input.
+func readBench(path string) *artifact.Bench {
+	var rep artifact.Bench
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = artifact.Unmarshal(data, &rep)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "diff: %s: %v\n", path, err)
+		os.Exit(2)
+	}
+	return &rep
 }

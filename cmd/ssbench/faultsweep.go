@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -11,53 +10,9 @@ import (
 
 	"spacesim/internal/core"
 	"spacesim/internal/faults"
+	"spacesim/internal/obs/artifact"
 	"spacesim/internal/obs/ledger"
 )
-
-// FaultsweepSchemaVersion stamps FAULTSWEEP.json.
-const FaultsweepSchemaVersion = 1
-
-// FaultsweepReport is the machine-readable faultsweep artifact: how the
-// checkpoint interval trades expected lost work against I/O overhead under
-// one seeded fault schedule.
-type FaultsweepReport struct {
-	SchemaVersion int     `json:"schema_version"`
-	Seed          int64   `json:"seed"`
-	Accel         float64 `json:"accel"`
-	Ranks         int     `json:"ranks"`
-	Bodies        int     `json:"bodies"`
-	Steps         int     `json:"steps"`
-	// BaselineVirtualSec is the fault-free, checkpoint-free makespan (the
-	// schedule horizon); ExpectedCrashes the analytic crash mean over it.
-	BaselineVirtualSec float64 `json:"baseline_virtual_sec"`
-	ExpectedCrashes    float64 `json:"expected_crashes"`
-	// ScheduledCrashes is the number of crashes the drawn schedule holds.
-	ScheduledCrashes int                `json:"scheduled_crashes"`
-	Entries          []FaultsweepEntry  `json:"entries"`
-	Provenance       *ledger.Provenance `json:"provenance,omitempty"`
-}
-
-// FaultsweepEntry is one checkpoint cadence's outcome.
-type FaultsweepEntry struct {
-	// IntervalSteps is the checkpoint cadence K.
-	IntervalSteps int `json:"interval_steps"`
-	// IOOverheadSec is the virtual disk time a fault-free run spends on
-	// checkpoint writes at this cadence (rank 0; writes are parallel, so
-	// this approximates the makespan cost).
-	IOOverheadSec float64 `json:"io_overhead_sec"`
-	// The recovery outcome under the shared fault schedule.
-	Crashes          int     `json:"crashes"`
-	Attempts         int     `json:"attempts"`
-	RestoredSteps    []int   `json:"restored_steps,omitempty"`
-	ReplayedSteps    int     `json:"replayed_steps"`
-	LostVirtualSec   float64 `json:"lost_virtual_sec"`
-	TotalVirtualSec  float64 `json:"total_virtual_sec"`
-	CheckpointWrites int     `json:"checkpoint_writes"`
-	CorruptStripes   int     `json:"corrupt_stripes"`
-	// BitIdentical records whether the recovered state matched the
-	// fault-free run exactly.
-	BitIdentical bool `json:"bit_identical"`
-}
 
 // faultsweepCmd sweeps the checkpoint interval under a fixed seeded fault
 // schedule on the 2-module 8-rank slice and writes the trade-off (expected
@@ -111,8 +66,8 @@ func faultsweepCmd(args []string) {
 		*accel *= 2
 		sched = faults.New(faults.Options{Ranks: procs, Horizon: horizon, Seed: *seed, Accel: *accel})
 	}
-	rep := FaultsweepReport{
-		SchemaVersion:      FaultsweepSchemaVersion,
+	rep := artifact.Faultsweep{
+		SchemaVersion:      artifact.FaultsweepSchemaVersion,
 		Seed:               *seed,
 		Accel:              *accel,
 		Ranks:              procs,
@@ -157,7 +112,7 @@ func faultsweepCmd(args []string) {
 			os.Exit(1)
 		}
 
-		e := FaultsweepEntry{
+		e := artifact.FaultsweepEntry{
 			IntervalSteps:    k,
 			IOOverheadSec:    clean.CheckpointSec,
 			Crashes:          st.Crashes,
@@ -188,16 +143,7 @@ func faultsweepCmd(args []string) {
 		},
 	}
 	rep.Provenance = provFor(lcfg)
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "faultsweep:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "faultsweep:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", *out)
+	writeJSON(*out, rep)
 	ledgerAppend(lcfg, filepath.Base(*out), *out)
 }
 

@@ -1,109 +1,23 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
 	"spacesim/internal/core"
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
-	"spacesim/internal/obs"
 	"spacesim/internal/obs/analysis"
-	"spacesim/internal/obs/ledger"
-	"spacesim/internal/obs/live"
+	"spacesim/internal/obs/artifact"
 	"spacesim/internal/vec"
 )
 
 var benchOut = flag.String("o", "BENCH_treecode.json", "output path for the group benchmark JSON record")
-
-// groupResult is one timed force-evaluation configuration.
-type groupResult struct {
-	Engine       string  `json:"engine"`
-	Workers      int     `json:"workers"`
-	Seconds      float64 `json:"seconds"`
-	NsPerBody    float64 `json:"ns_per_body"`
-	NsPerInter   float64 `json:"ns_per_interaction"`
-	Interactions int64   `json:"interactions"`
-	InterPerSec  float64 `json:"interactions_per_sec"`
-}
-
-// groupDistributed summarizes the virtual-time distributed run that the
-// group benchmark performs to populate per-rank metrics.
-type groupDistributed struct {
-	Procs             int     `json:"procs"`
-	Workers           int     `json:"workers"`
-	Steps             int     `json:"steps"`
-	ElapsedVirtualSec float64 `json:"elapsed_virtual_sec"`
-	Gflops            float64 `json:"gflops"`
-	MaxImbalance      float64 `json:"max_imbalance"`
-	// WorkerUtilization is busy/(wall*workers) of the host-side eval pool,
-	// derived from the core.pool.* counters.
-	WorkerUtilization float64 `json:"worker_utilization"`
-}
-
-// groupReport is the BENCH_treecode.json payload.
-//
-// schema_version history:
-//
-//	1 — shared-memory engine comparison only (implicit; field absent)
-//	2 — adds schema_version, the distributed run summary, and the embedded
-//	    observability metrics snapshot (per-rank breakdown, interaction-list
-//	    sizes, cache hit rates, worker-pool utilization)
-//	3 — adds the trace-analysis summary of the distributed run (virtual
-//	    makespan, parallel efficiency, critical-path breakdown, message
-//	    latency p99); the metrics snapshot gains histograms
-//	4 — adds the tree-construction benchmark block (`treebuild`): seed vs
-//	    parallel-pipeline phase timings, speedups, and the bit-identity
-//	    verdict. Written by `ssbench treebuild`, which merges into an
-//	    existing record; the other blocks stay optional.
-//	5 — adds the engine scaling block (`scale`): the rank-count sweep of
-//	    the discrete-event scheduler against the goroutine oracle (host
-//	    wall-clock, peak RSS, ranks/sec, ranks/GB per configuration) and
-//	    its bit-identity verdict. Written by `ssbench scale`, which merges
-//	    like treebuild does.
-//	6 — adds the live-telemetry block (`live`): the time-series sampler's
-//	    retained window (host/virtual time columns plus one ring per
-//	    metric) and the final progress/ETA view. Written by any experiment
-//	    run with -http / live sampling enabled.
-//	7 — adds the build/host provenance block (`provenance`): go version,
-//	    VCS revision, hostname, and the canonical config digest of the
-//	    writing invocation (the key into the run ledger). Stamped by
-//	    every writer.
-//	8 — adds the kernel microbenchmark block (`kernels`): the batched-
-//	    kernel sweep over kernel (body/cell) x variant (libm/Karp) x
-//	    precision (float64/float32) x list length, the bit-identity
-//	    verdict of the default float64 path against the seed evaluation,
-//	    and the measured float32 error budget. Written by `ssbench
-//	    kernels`, which merges like treebuild does.
-type groupReport struct {
-	SchemaVersion   int                  `json:"schema_version"`
-	N               int                  `json:"n"`
-	Theta           float64              `json:"theta"`
-	Eps             float64              `json:"eps"`
-	MaxLeaf         int                  `json:"max_leaf"`
-	GOMAXPROCS      int                  `json:"gomaxprocs"`
-	Results         []groupResult        `json:"results"`
-	SpeedupW1       float64              `json:"speedup_grouped_w1_vs_per_body"`
-	SpeedupWN       float64              `json:"speedup_grouped_wn_vs_per_body"`
-	RmsDiffW1       float64              `json:"rms_acc_diff_grouped_vs_per_body"`
-	MaxPotDiffRel   float64              `json:"max_rel_pot_diff_grouped_vs_per_body"`
-	NsPerInterRatio float64              `json:"ns_per_interaction_per_body_over_grouped_w1"`
-	Distributed     *groupDistributed    `json:"distributed,omitempty"`
-	Metrics         *obs.MetricsSnapshot `json:"metrics,omitempty"`
-	Analysis        *analysis.Summary    `json:"analysis,omitempty"`
-	Treebuild       *treebuildReport     `json:"treebuild,omitempty"`
-	Kernels         *kernelsReport       `json:"kernels,omitempty"`
-	Scale           *scaleReport         `json:"scale,omitempty"`
-	Live            *live.Dump           `json:"live,omitempty"`
-	Provenance      *ledger.Provenance   `json:"provenance,omitempty"`
-}
 
 // groupBench times the per-body treewalk against the bucket-grouped one on a
 // Plummer sphere and records the comparison in BENCH_treecode.json.
@@ -175,8 +89,8 @@ func groupBench() {
 		}
 	}
 
-	mk := func(engine string, workers int, sec float64, inter int64) groupResult {
-		return groupResult{
+	mk := func(engine string, workers int, sec float64, inter int64) artifact.GroupResult {
+		return artifact.GroupResult{
 			Engine: engine, Workers: workers, Seconds: sec,
 			NsPerBody:    sec / float64(n) * 1e9,
 			NsPerInter:   sec / float64(inter) * 1e9,
@@ -191,38 +105,37 @@ func groupBench() {
 	if *quick {
 		procs, steps = 4, 1
 	}
+	// The run starts from empty rank accumulators and a fresh event log, so
+	// the analysis and the rank breakdown describe this run alone even when
+	// the invocation's observer has seen other experiments (`ssbench all`).
+	runObs.EnableEvents().ResetRanks()
 	cl := ssCluster()
-	runObs.EnableEvents()
 	dres := core.Run(core.RunConfig{
 		Cluster: cl, Procs: procs, Steps: steps,
 		Opt: core.Options{Theta: theta, Eps: eps, DT: 1e-3, MaxLeaf: maxLeaf, Workers: dw},
 	}, ics)
-	// Trace analysis of the distributed run. Under `ssbench all` the shared
-	// observer has already seen other runs, whose events would mix into this
-	// one's timeline; detect that by checking the analysis makespan against
-	// this run's virtual elapsed time and skip the summary when they differ.
-	var asum *analysis.Summary
-	if arep, err := analysis.Analyze(runObs, cl, analysis.Options{}); err == nil &&
-		math.Abs(arep.MakespanSec-dres.ElapsedVirtual) <= 1e-9*dres.ElapsedVirtual {
-		asum = arep.Summary()
+	arep, err := analysis.Analyze(runObs, cl, analysis.Options{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "group: analysis:", err)
+		os.Exit(1)
 	}
+	asum := arep.Summary()
 	snap := runObs.Snapshot()
 	util := 0.0
 	if wall, wk := snap.Counters["core.pool.wall_ns"], snap.Gauges["core.pool.workers"]; wall > 0 && wk > 0 {
 		util = float64(snap.Counters["core.pool.busy_ns"]) / (float64(wall) * wk)
 	}
 
-	rep := groupReport{
-		SchemaVersion: 3,
-		N:             n, Theta: theta, Eps: eps, MaxLeaf: maxLeaf, GOMAXPROCS: nw,
+	rep := artifact.Bench{
+		N: n, Theta: theta, Eps: eps, MaxLeaf: maxLeaf, GOMAXPROCS: nw,
 		Analysis: asum,
-		Distributed: &groupDistributed{
+		Distributed: &artifact.Distributed{
 			Procs: procs, Workers: dw, Steps: dres.Steps,
 			ElapsedVirtualSec: dres.ElapsedVirtual, Gflops: dres.Gflops,
 			MaxImbalance: dres.MaxImbalance, WorkerUtilization: util,
 		},
 		Metrics: &snap,
-		Results: []groupResult{
+		Results: []artifact.GroupResult{
 			mk("per-body", 1, tP, interP),
 			mk("grouped", 1, t1, inter1),
 			mk("grouped", nw, tN, interN),
@@ -232,13 +145,8 @@ func groupBench() {
 		RmsDiffW1:       rms,
 		MaxPotDiffRel:   maxPot,
 		NsPerInterRatio: (tP / float64(interP)) / (t1 / float64(inter1)),
+		Live:            liveDump(),
 	}
-	if d := liveDump(); d != nil {
-		rep.Live = d
-		rep.SchemaVersion = 6
-	}
-	cfg := ledgerConfig("group", n, procs, steps, dw, "grouped", 1)
-	stampProvenance(&rep, cfg)
 
 	fmt.Printf("bucket-grouped treewalk, Plummer N=%d, theta=%.2f, leaf=%d (best of %d)\n", n, theta, maxLeaf, reps)
 	fmt.Printf("%-10s %8s %10s %10s %10s %14s\n", "engine", "workers", "time", "ns/body", "ns/inter", "inter/s")
@@ -252,21 +160,13 @@ func groupBench() {
 		rep.RmsDiffW1, rep.MaxPotDiffRel, nw)
 	fmt.Printf("distributed run: %d ranks x %d workers, %d steps, virtual %.2f s, %.1f Gflop/s, imbalance %.2f, pool util %.0f%%\n",
 		procs, dw, dres.Steps, dres.ElapsedVirtual, dres.Gflops, dres.MaxImbalance, 100*util)
-	if asum != nil {
-		fmt.Printf("analysis: critical path %.3fs over %d hops, parallel efficiency %.0f%%, msg latency p99 %.3gs\n",
-			asum.CriticalPathSec, asum.CriticalPathHops, 100*asum.ParallelEfficiency, asum.MsgLatencyP99Sec)
-	}
+	fmt.Printf("analysis: critical path %.3fs over %d hops, parallel efficiency %.0f%%, msg latency p99 %.3gs\n",
+		asum.CriticalPathSec, asum.CriticalPathHops, 100*asum.ParallelEfficiency, asum.MsgLatencyP99Sec)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "group: marshal:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "group: write:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", *benchOut)
-	ledgerAppend(cfg, filepath.Base(*benchOut), *benchOut)
+	// The engine comparison owns every top-level field and block except the
+	// other experiments' treebuild, scale and kernels blocks, which stay.
+	mergeBench(*benchOut, func(b *artifact.Bench) {
+		rep.Treebuild, rep.Scale, rep.Kernels = b.Treebuild, b.Scale, b.Kernels
+		*b = rep
+	}, ledgerConfig("group", n, procs, steps, dw, "grouped", 1))
 }

@@ -1,74 +1,17 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
 	"spacesim/internal/gravity"
-	"spacesim/internal/obs/ledger"
+	"spacesim/internal/obs/artifact"
 	"spacesim/internal/vec"
 )
-
-// benchKernelsSchemaVersion is the BENCH_treecode.json schema once the
-// kernels block is merged in (see the history on groupReport).
-const benchKernelsSchemaVersion = 8
-
-// kernelEntry is one timed kernel configuration of the microbenchmark
-// sweep.
-type kernelEntry struct {
-	// Kernel is "body" (monopole point sources) or "cell" (monopole +
-	// quadrupole multipoles).
-	Kernel string `json:"kernel"`
-	// Variant is "libm" (hardware sqrt + divide) or "karp" (the table-driven
-	// reciprocal sqrt of Table 5).
-	Variant string `json:"variant"`
-	// Precision is "float64" or "float32" accumulation.
-	Precision string `json:"precision"`
-	// Length is the interaction-list length (sources or cells per sink).
-	Length int `json:"length"`
-	// Sinks is the bucket size the list is applied to.
-	Sinks            int     `json:"sinks"`
-	NsPerInteraction float64 `json:"ns_per_interaction"`
-	InterPerSec      float64 `json:"interactions_per_sec"`
-}
-
-// kernelsReport is the `kernels` block of BENCH_treecode.json
-// (schema_version 8): the kernel-variant microbenchmark sweep, the
-// libm-vs-Karp comparison the paper's Table 5 motivates applied to this
-// code's batched kernels, the bit-identity verdict of the default float64
-// path against the seed evaluation, and the measured float32 error budget.
-type kernelsReport struct {
-	Sinks      int   `json:"sinks"`
-	Lengths    []int `json:"lengths"`
-	GOMAXPROCS int   `json:"gomaxprocs"`
-	// Entries is the kernel x variant x precision x length sweep.
-	Entries []kernelEntry `json:"entries"`
-	// KarpSpeedupBody is libm ns / karp ns for the float64 body kernel at
-	// the longest list length (>1 means Karp wins, the paper's claim for
-	// hardware with slow sqrt/divide).
-	KarpSpeedupBody float64 `json:"karp_speedup_body"`
-	// KarpSpeedupCell is the same ratio for the cell (multipole) kernel.
-	KarpSpeedupCell float64 `json:"karp_speedup_cell"`
-	// DefaultBitIdentical reports that the blocked float64 kernels
-	// reproduced the seed evaluation (scalar AccelAt cells + unblocked body
-	// loops) bit for bit on randomized lists, for both body-kernel
-	// variants. The run aborts when they do not, so a written record always
-	// says true.
-	DefaultBitIdentical bool `json:"default_bit_identical"`
-	// RmsAccErrFloat32 is the RMS relative acceleration error of the
-	// float32 mode against float64 on the sweep's randomized lists; the run
-	// asserts it under Float32ErrBudget.
-	RmsAccErrFloat32 float64 `json:"rms_acc_err_float32"`
-	// Float32ErrBudget is the bound RmsAccErrFloat32 was asserted against
-	// (the grouped-vs-per-body RMS already accepted by the group record).
-	Float32ErrBudget float64 `json:"float32_err_budget"`
-}
 
 // kernelList is one randomized interaction list in every layout the sweep
 // needs.
@@ -140,7 +83,7 @@ func timeKernel(ev *gravity.Evaluator, l *kernelList, minDur time.Duration) floa
 // kernelsBench sweeps the batched kernels over variant x precision x list
 // length, verifies the default float64 path bit-identical against the seed
 // evaluation, measures the float32 error budget, and merges the results
-// into the BENCH_treecode.json record (bumping it to schema_version 8).
+// into the BENCH_treecode.json record as its kernels block.
 func kernelsBench() {
 	const eps = 0.01
 	sinks := 64
@@ -205,7 +148,7 @@ func kernelsBench() {
 		os.Exit(1)
 	}
 
-	rep := kernelsReport{
+	rep := artifact.Kernels{
 		Sinks: sinks, Lengths: lengths, GOMAXPROCS: runtime.GOMAXPROCS(0),
 		DefaultBitIdentical: true,
 		RmsAccErrFloat32:    rms,
@@ -247,7 +190,7 @@ func kernelsBench() {
 			}
 			sec := timeKernel(&ev, l, minDur)
 			inter := float64(sinks) * float64(L)
-			e := kernelEntry{
+			e := artifact.KernelEntry{
 				Kernel: c.kernel, Variant: c.variant, Precision: c.prec.String(),
 				Length: L, Sinks: sinks,
 				NsPerInteraction: sec / inter * 1e9,
@@ -276,93 +219,10 @@ func kernelsBench() {
 	fmt.Printf("default float64 path bit-identical to seed evaluation: true\n")
 	fmt.Printf("float32 RMS acceleration error: %.3g (budget %.3g)\n", rms, f32Budget)
 
-	writeKernels(rep, ledgerConfig("kernels", longest, 0, 0, 0, "", 11))
-}
-
-// writeKernels merges the kernels block into the benchmark record at
-// *benchOut (preserving any existing blocks), bumps it to at least
-// schema_version 8, stamps provenance, and appends the run to the ledger.
-func writeKernels(kr kernelsReport, cfg ledger.Config) {
-	var rep groupReport
-	if data, err := os.ReadFile(*benchOut); err == nil {
-		if err := json.Unmarshal(data, &rep); err != nil {
-			fmt.Fprintf(os.Stderr, "kernels: existing %s unreadable: %v\n", *benchOut, err)
-			os.Exit(1)
+	mergeBench(*benchOut, func(b *artifact.Bench) {
+		if b.N == 0 {
+			b.N, b.Theta, b.Eps, b.GOMAXPROCS = longest*sinks, 0.7, 0.01, rep.GOMAXPROCS
 		}
-	} else {
-		// Fresh record with just the kernel sweep: mirror the workload
-		// parameters at the top level.
-		rep.N = kr.Lengths[len(kr.Lengths)-1] * kr.Sinks
-		rep.Theta, rep.Eps, rep.GOMAXPROCS = 0.7, 0.01, kr.GOMAXPROCS
-	}
-	if rep.SchemaVersion < benchKernelsSchemaVersion {
-		rep.SchemaVersion = benchKernelsSchemaVersion
-	}
-	rep.Kernels = &kr
-	stampProvenance(&rep, cfg)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kernels: marshal:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "kernels: write:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", *benchOut)
-	ledgerAppend(cfg, filepath.Base(*benchOut), *benchOut)
-}
-
-// diffKernels is the kernels arm of the bench-record diff: it compares the
-// kernel sweeps of two BENCH_treecode.json records and reports false when
-// any matching configuration slowed past frac, or when the new record lost
-// bit-identity or blew the float32 budget.
-func diffKernels(oldRep, newRep groupReport, oldPath string, frac float64) bool {
-	if oldRep.Kernels == nil {
-		fmt.Printf("kernels: baseline %s has no kernels block; nothing to compare\n", oldPath)
-		return true
-	}
-	ok := true
-	nk, ok1 := newRep.Kernels, oldRep.Kernels
-	if !nk.DefaultBitIdentical {
-		fmt.Printf("FAIL kernels: new record is not bit-identical on the default path\n")
-		ok = false
-	}
-	if nk.RmsAccErrFloat32 > nk.Float32ErrBudget {
-		fmt.Printf("FAIL kernels: float32 RMS error %.3g exceeds budget %.3g\n",
-			nk.RmsAccErrFloat32, nk.Float32ErrBudget)
-		ok = false
-	}
-	key := func(e kernelEntry) string {
-		return fmt.Sprintf("%s/%s/%s/%d", e.Kernel, e.Variant, e.Precision, e.Length)
-	}
-	oldBy := map[string]kernelEntry{}
-	for _, e := range ok1.Entries {
-		oldBy[key(e)] = e
-	}
-	fmt.Printf("kernel sweep (allowed +%.0f%% ns/interaction):\n", 100*frac)
-	fmt.Printf("  %-28s %10s %10s %8s\n", "config", "old", "new", "ratio")
-	for _, e := range nk.Entries {
-		oe, have := oldBy[key(e)]
-		if !have {
-			fmt.Printf("  %-28s %10s %9.2fns %8s (no baseline)\n", key(e), "-", e.NsPerInteraction, "-")
-			continue
-		}
-		r := ratioOf(e.NsPerInteraction, oe.NsPerInteraction)
-		verdict := ""
-		// Only gate like-for-like sweeps — a -quick record against a full
-		// one still compares the shared lengths, since entries match on
-		// (kernel, variant, precision, length).
-		if e.NsPerInteraction > oe.NsPerInteraction*(1+frac) {
-			verdict = "  REGRESSION"
-			ok = false
-		}
-		fmt.Printf("  %-28s %9.2fns %9.2fns %7.2fx%s\n",
-			key(e), oe.NsPerInteraction, e.NsPerInteraction, r, verdict)
-	}
-	if ok {
-		fmt.Println("kernels: OK")
-	}
-	return ok
+		b.Kernels = &rep
+	}, ledgerConfig("kernels", longest, 0, 0, 0, "", 11))
 }

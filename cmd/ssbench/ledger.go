@@ -12,6 +12,7 @@ import (
 	"os"
 	"strconv"
 
+	"spacesim/internal/obs/artifact"
 	"spacesim/internal/obs/ledger"
 )
 
@@ -62,19 +63,6 @@ func provFor(cfg ledger.Config) *ledger.Provenance {
 	return &p
 }
 
-// benchProvSchemaVersion is the BENCH_treecode.json schema once the
-// provenance block is stamped (see the history on groupReport).
-const benchProvSchemaVersion = 7
-
-// stampProvenance embeds cfg's provenance block into a bench record and
-// raises the schema version accordingly (never downgrading a newer file).
-func stampProvenance(rep *groupReport, cfg ledger.Config) {
-	rep.Provenance = provFor(cfg)
-	if rep.SchemaVersion < benchProvSchemaVersion {
-		rep.SchemaVersion = benchProvSchemaVersion
-	}
-}
-
 // ledgerAppend records one finished experiment: the artifact file at path
 // is stored as a content-addressed blob, its headline metrics extracted,
 // and a run record appended. Best-effort by contract.
@@ -93,7 +81,7 @@ func ledgerAppend(cfg ledger.Config, artifactName, artifactPath string) {
 			return
 		}
 		artifacts = map[string][]byte{artifactName: data}
-		metrics = ledger.ExtractMetrics(data)
+		metrics = artifact.Headlines(data)
 	}
 	if rss := ledger.PeakRSSBytes(); rss > 0 {
 		metrics["peak_rss_bytes"] = float64(rss)

@@ -5,7 +5,7 @@ package main
 // recording virtual makespan, host wall-clock, peak RSS and message counts
 // per configuration, verifies that the event engine reproduces the goroutine
 // oracle's virtual schedule bit-for-bit on a small world, and merges the
-// results into BENCH_treecode.json as the schema v5 `scale` block.
+// results into BENCH_treecode.json as its `scale` block.
 //
 // Peak RSS (VmHWM) is a high-water mark and never comes back down, so one
 // process cannot measure several configurations independently: the parent
@@ -20,7 +20,6 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -30,59 +29,14 @@ import (
 	"spacesim/internal/machine"
 	"spacesim/internal/mp"
 	"spacesim/internal/netsim"
+	"spacesim/internal/obs/artifact"
 	"spacesim/internal/obs/ledger"
 )
-
-// scaleSchemaVersion is the BENCH_treecode.json schema written once the
-// scale block is merged in (see the history on groupReport).
-const scaleSchemaVersion = 5
-
-// scaleEntry is one measured (workload, engine, ranks) configuration.
-type scaleEntry struct {
-	// Workload is "step" (modeled treecode step, pure message layer),
-	// "treecode" (a real core.Run step), or "collective" (barrier/bcast/
-	// allreduce/allgather smoke for worlds past the modeled machine).
-	Workload string `json:"workload"`
-	Engine   string `json:"engine"`
-	Ranks    int    `json:"ranks"`
-	// Workers is the event-engine pool size the child ran with (0 = host
-	// cores); always 0 for the goroutine engine.
-	Workers      int     `json:"workers"`
-	VirtualSec   float64 `json:"virtual_sec"`
-	HostSec      float64 `json:"host_sec"`
-	PeakRSSBytes int64   `json:"peak_rss_bytes"`
-	Messages     int64   `json:"messages"`
-	// RanksPerSec is Ranks/HostSec: how fast the host simulates ranks.
-	RanksPerSec float64 `json:"ranks_per_sec"`
-	// RanksPerGB is Ranks/(PeakRSSBytes/2^30): rank density in host memory.
-	RanksPerGB float64 `json:"ranks_per_gb"`
-}
-
-// scaleReport is the schema v5 `scale` block.
-type scaleReport struct {
-	GOMAXPROCS    int          `json:"gomaxprocs"`
-	Quick         bool         `json:"quick"`
-	Steps         int          `json:"steps"`
-	BodiesPerRank int          `json:"bodies_per_rank"`
-	Entries       []scaleEntry `json:"entries"`
-	// BitIdentical reports that the event engine's virtual schedule (per-rank
-	// final clocks and makespan) of the blocking modeled-step workload is
-	// bit-identical to the goroutine oracle's at IdentityRanks ranks.
-	BitIdentical  bool `json:"bit_identical"`
-	IdentityRanks int  `json:"identity_ranks"`
-	// MaxEventRanks is the largest world the event engine completed.
-	MaxEventRanks int `json:"max_event_ranks"`
-	// The engine ratios at ComparisonRanks (the largest world both engines
-	// ran the step workload on): event over goroutine.
-	ComparisonRanks int     `json:"comparison_ranks,omitempty"`
-	HostSpeedup     float64 `json:"host_speedup_event_vs_goroutine,omitempty"`
-	RanksPerGBGain  float64 `json:"ranks_per_gb_event_vs_goroutine,omitempty"`
-}
 
 // scaleProbe is what a child prints: the entry plus the full virtual
 // schedule on small worlds so the parent can check engine bit-identity.
 type scaleProbe struct {
-	scaleEntry
+	artifact.ScaleEntry
 	RankClocks []float64 `json:"rank_clocks,omitempty"`
 }
 
@@ -157,7 +111,7 @@ func scaleCmd(args []string) {
 		fmt.Fprintln(os.Stderr, "scale:", err)
 		os.Exit(1)
 	}
-	rep := scaleReport{
+	rep := artifact.Scale{
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Quick:         *quickFlag,
 		Steps:         *steps,
@@ -184,7 +138,7 @@ func scaleCmd(args []string) {
 				c.workload, c.engine, c.ranks, outBytes, err)
 			os.Exit(1)
 		}
-		e := probe.scaleEntry
+		e := probe.ScaleEntry
 		rep.Entries = append(rep.Entries, e)
 		if c.workload == "step" && probe.RankClocks != nil {
 			clocks[fmt.Sprintf("%s/%d", c.engine, c.ranks)] = probe.RankClocks
@@ -212,7 +166,7 @@ func scaleCmd(args []string) {
 	}
 
 	// Engine ratios at the largest both-engine world of the step workload.
-	best := map[string]scaleEntry{}
+	best := map[string]artifact.ScaleEntry{}
 	for _, en := range rep.Entries {
 		if en.Workload != "step" {
 			continue
@@ -254,7 +208,13 @@ func scaleCmd(args []string) {
 			"event_ranks": fmt.Sprint(eventOnly),
 		},
 	}
-	writeScale(*out, rep, lcfg)
+	mergeBench(*out, func(b *artifact.Bench) {
+		if b.N == 0 {
+			b.N, b.Theta, b.Eps, b.MaxLeaf = rep.BodiesPerRank, 0.7, 0.01, 16
+			b.GOMAXPROCS = rep.GOMAXPROCS
+		}
+		b.Scale = &rep
+	}, lcfg)
 	if !rep.BitIdentical {
 		fmt.Fprintln(os.Stderr, "scale: FAIL: event engine is not bit-identical to the goroutine oracle")
 		os.Exit(1)
@@ -299,7 +259,7 @@ func runScaleChild(engineName, workload string, n, steps, bodies, workers int) {
 		os.Exit(1)
 	}
 	rss := ledger.PeakRSSBytes()
-	probe := scaleProbe{scaleEntry: scaleEntry{
+	probe := scaleProbe{ScaleEntry: artifact.ScaleEntry{
 		Workload: workload, Engine: engineName, Ranks: n, Workers: workers,
 		VirtualSec: st.ElapsedVirtual, HostSec: host,
 		PeakRSSBytes: rss, Messages: st.Messages,
@@ -390,83 +350,4 @@ func parseRankList(s string, def []int) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-// diffScale is the scale arm of the bench-record diff: it gates ranks/sec
-// regressions past frac on matching (workload, engine, ranks) entries and
-// fails when the new record lost engine bit-identity. Only like-for-like
-// sweeps gate — a -quick record against a full one is reported, not failed.
-func diffScale(oldRep, newRep groupReport, oldPath string, frac float64) bool {
-	ns := newRep.Scale
-	if oldRep.Scale == nil {
-		fmt.Printf("scale: baseline %s has no scale block; nothing to compare\n", oldPath)
-		return true
-	}
-	osc := oldRep.Scale
-	ok := true
-	if !ns.BitIdentical {
-		fmt.Printf("FAIL scale: new record is not bit-identical across engines\n")
-		ok = false
-	}
-	key := func(e scaleEntry) string {
-		return fmt.Sprintf("%s/%s/%d", e.Workload, e.Engine, e.Ranks)
-	}
-	oldBy := map[string]scaleEntry{}
-	for _, e := range osc.Entries {
-		oldBy[key(e)] = e
-	}
-	like := osc.Quick == ns.Quick && osc.Steps == ns.Steps && osc.BodiesPerRank == ns.BodiesPerRank
-	fmt.Printf("scale sweep (allowed -%.0f%% ranks/sec):\n", 100*frac)
-	fmt.Printf("  %-26s %12s %12s %8s\n", "config", "old r/s", "new r/s", "ratio")
-	for _, e := range ns.Entries {
-		oe, have := oldBy[key(e)]
-		if !have {
-			fmt.Printf("  %-26s %12s %12.1f %8s (no baseline)\n", key(e), "-", e.RanksPerSec, "-")
-			continue
-		}
-		r := ratioOf(e.RanksPerSec, oe.RanksPerSec)
-		verdict := ""
-		if like && e.RanksPerSec < oe.RanksPerSec*(1-frac) {
-			verdict = "  REGRESSION"
-			ok = false
-		}
-		fmt.Printf("  %-26s %12.1f %12.1f %7.2fx%s\n", key(e), oe.RanksPerSec, e.RanksPerSec, r, verdict)
-	}
-	if ok {
-		fmt.Println("scale: OK")
-	}
-	return ok
-}
-
-// writeScale merges the scale block into the benchmark record at path,
-// preserving any existing blocks, raises it to at least schema_version 5,
-// stamps the sweep's provenance, and appends the run to the ledger.
-func writeScale(path string, sc scaleReport, cfg ledger.Config) {
-	var rep groupReport
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &rep); err != nil {
-			fmt.Fprintf(os.Stderr, "scale: existing %s unreadable: %v\n", path, err)
-			os.Exit(1)
-		}
-	} else {
-		// Fresh record holding only the scale study.
-		rep.GOMAXPROCS = sc.GOMAXPROCS
-		rep.N, rep.Theta, rep.Eps, rep.MaxLeaf = sc.BodiesPerRank, 0.7, 0.01, 16
-	}
-	if rep.SchemaVersion < scaleSchemaVersion {
-		rep.SchemaVersion = scaleSchemaVersion
-	}
-	rep.Scale = &sc
-	stampProvenance(&rep, cfg)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scale: marshal:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "scale:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (schema v%d, scale block with %d entries)\n", path, rep.SchemaVersion, len(sc.Entries))
-	ledgerAppend(cfg, filepath.Base(path), path)
 }

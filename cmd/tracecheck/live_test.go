@@ -8,7 +8,7 @@ import (
 )
 
 // validDump builds a minimal sound live block; each test case mutates one
-// aspect and asserts the precise diagnostic liveErr produces.
+// aspect and asserts the precise diagnostic (*live.Dump).Validate produces.
 func validDump() *live.Dump {
 	return &live.Dump{
 		SchemaVersion:  1,
@@ -25,7 +25,7 @@ func validDump() *live.Dump {
 }
 
 func TestLiveErrValid(t *testing.T) {
-	if err := liveErr(validDump()); err != nil {
+	if err := validDump().Validate(); err != nil {
 		t.Fatalf("valid dump rejected: %v", err)
 	}
 }
@@ -99,7 +99,7 @@ func TestLiveErrEdgeCases(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			d := validDump()
 			tc.mutate(d)
-			err := liveErr(d)
+			err := d.Validate()
 			if err == nil {
 				t.Fatalf("mutated dump accepted, want error %q", tc.wantErr)
 			}

@@ -3,6 +3,7 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -33,8 +34,136 @@ func ReadFile(path string) (*Report, error) {
 	return &r, nil
 }
 
-// Summary is the compact digest embedded into benchmark reports
-// (BENCH_treecode.json schema_version >= 3).
+// Validate checks a report: schema version, a positive makespan fully
+// accounted for by the critical path, nonnegative category attribution,
+// consistent phase statistics, sane utilization, and, when present, a
+// coherent fault-recovery block and live-telemetry block.
+func (r *Report) Validate() error {
+	if r.SchemaVersion < 1 {
+		return fmt.Errorf("schema_version %d < 1", r.SchemaVersion)
+	}
+	if r.Ranks <= 0 {
+		return fmt.Errorf("ranks = %d", r.Ranks)
+	}
+	if r.MakespanSec <= 0 {
+		return fmt.Errorf("makespan %g, want > 0", r.MakespanSec)
+	}
+	if r.ParallelEfficiency < 0 || r.ParallelEfficiency > 1+1e-9 {
+		return fmt.Errorf("parallel efficiency %g outside [0, 1]", r.ParallelEfficiency)
+	}
+	cp := r.CriticalPath
+	if d := math.Abs(cp.TotalSec - r.MakespanSec); d > 1e-6*r.MakespanSec {
+		return fmt.Errorf("critical path %g does not equal makespan %g", cp.TotalSec, r.MakespanSec)
+	}
+	if err := checkCategories("critical path", cp.ByCategory, cp.TotalSec); err != nil {
+		return err
+	}
+	for _, p := range r.Phases {
+		if p.MeanSec < 0 || p.MaxSec < p.MeanSec-1e-9 {
+			return fmt.Errorf("phase %s: mean %g max %g", p.Name, p.MeanSec, p.MaxSec)
+		}
+		if p.IdleFraction < 0 || p.IdleFraction > 1+1e-9 {
+			return fmt.Errorf("phase %s: idle fraction %g", p.Name, p.IdleFraction)
+		}
+	}
+	for name, h := range r.Histograms {
+		if err := h.Validate(); err != nil {
+			return fmt.Errorf("histogram %s: %v", name, err)
+		}
+	}
+	for _, l := range r.Links {
+		if l.Bytes < 0 || l.MeanUtil < 0 || l.PeakUtil < l.MeanUtil-1e-9 {
+			return fmt.Errorf("link %s: bytes %d mean %g peak %g", l.Name, l.Bytes, l.MeanUtil, l.PeakUtil)
+		}
+		if l.BusyFraction < 0 || l.BusyFraction > 1 {
+			return fmt.Errorf("link %s: busy fraction %g", l.Name, l.BusyFraction)
+		}
+	}
+	if fr := r.Faults; fr != nil {
+		if err := fr.validate(); err != nil {
+			return err
+		}
+	}
+	if r.Live != nil {
+		return r.Live.Validate()
+	}
+	return nil
+}
+
+// validate checks the fault-recovery block: crash bookkeeping that agrees
+// with itself, nonnegative recovery costs, and no recorded divergence.
+func (fr *FaultSummary) validate() error {
+	if fr.Attempts < 1 {
+		return fmt.Errorf("faults: attempts %d < 1", fr.Attempts)
+	}
+	if fr.Crashes != len(fr.CrashRanks) || fr.Crashes != len(fr.CrashTimesSec) {
+		return fmt.Errorf("faults: %d crashes but %d ranks, %d times",
+			fr.Crashes, len(fr.CrashRanks), len(fr.CrashTimesSec))
+	}
+	if fr.Attempts != fr.Crashes+1 {
+		return fmt.Errorf("faults: %d attempts inconsistent with %d crashes", fr.Attempts, fr.Crashes)
+	}
+	if len(fr.RestoredSteps) > fr.Crashes {
+		return fmt.Errorf("faults: %d rollbacks exceed %d crashes", len(fr.RestoredSteps), fr.Crashes)
+	}
+	for i, t := range fr.CrashTimesSec {
+		if t < 0 {
+			return fmt.Errorf("faults: crash %d at negative time %g", i, t)
+		}
+	}
+	if fr.ReplayedSteps < 0 || fr.LostVirtualSec < 0 || fr.TotalVirtualSec < 0 ||
+		fr.DegradedLinkSec < 0 || fr.FlappingPortSec < 0 ||
+		fr.CheckpointWrites < 0 || fr.CheckpointSec < 0 || fr.CorruptStripes < 0 {
+		return fmt.Errorf("faults: negative recovery metric: %+v", fr)
+	}
+	if fr.RecoveredBitIdentical != nil && !*fr.RecoveredBitIdentical {
+		return fmt.Errorf("faults: recovery verification recorded a divergent state")
+	}
+	return nil
+}
+
+// checkCategories requires nonnegative per-category times that sum to
+// total; what names the attribution in the diagnostics.
+func checkCategories(what string, byCat map[string]float64, total float64) error {
+	var sum float64
+	for cat, v := range byCat {
+		if v < 0 {
+			return fmt.Errorf("%s category %q negative: %g", what, cat, v)
+		}
+		sum += v
+	}
+	if d := math.Abs(sum - total); d > 1e-6*total {
+		return fmt.Errorf("%s categories sum to %g, want %g", what, sum, total)
+	}
+	return nil
+}
+
+// Headlines returns the report's headline metrics for the run ledger:
+// virtual makespan, parallel efficiency, idle fraction, message-latency
+// p99, and the checkpoint cost and lost work of a fault-injected run.
+// Zero-valued metrics are left out.
+func (r *Report) Headlines() map[string]float64 {
+	out := map[string]float64{}
+	put := func(name string, v float64) {
+		if v != 0 {
+			out[name] = v
+		}
+	}
+	put("makespan_sec", r.MakespanSec)
+	put("parallel_efficiency", r.ParallelEfficiency)
+	put("idle_fraction", r.IdleFraction)
+	if lat, ok := r.Histograms["mp.msg.latency_sec"]; ok {
+		put("msg_latency_p99_sec", lat.P99)
+	}
+	if fr := r.Faults; fr != nil {
+		put("checkpoint_overhead_sec", fr.CheckpointSec)
+		put("lost_virtual_sec", fr.LostVirtualSec)
+	}
+	return out
+}
+
+// Summary is the compact digest of a report embedded as the `analysis`
+// block of BENCH_treecode.json.
 type Summary struct {
 	MakespanSec        float64            `json:"makespan_sec"`
 	ParallelEfficiency float64            `json:"parallel_efficiency"`
@@ -59,6 +188,19 @@ func (r *Report) Summary() *Summary {
 		s.MsgLatencyP99Sec = h.P99
 	}
 	return s
+}
+
+// Validate checks an embedded summary: populated, with a critical path
+// equal to the makespan and nonnegative categories that sum to it.
+func (s *Summary) Validate() error {
+	if s.MakespanSec <= 0 || s.CriticalPathSec <= 0 {
+		return fmt.Errorf("analysis summary not populated: %+v", s)
+	}
+	if d := math.Abs(s.CriticalPathSec - s.MakespanSec); d > 1e-6*s.MakespanSec {
+		return fmt.Errorf("analysis critical path %g does not equal makespan %g",
+			s.CriticalPathSec, s.MakespanSec)
+	}
+	return checkCategories("analysis", s.ByCategory, s.CriticalPathSec)
 }
 
 // Render formats the report for humans.

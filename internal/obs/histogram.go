@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -314,6 +315,15 @@ type HistogramSnapshot struct {
 	P50   float64 `json:"p50"`
 	P95   float64 `json:"p95"`
 	P99   float64 `json:"p99"`
+}
+
+// Validate checks the internal ordering of one histogram summary:
+// nonnegative count and, when populated, min <= p50 <= p95 <= p99 <= max.
+func (h HistogramSnapshot) Validate() error {
+	if h.Count < 0 || h.Count > 0 && !(h.Min <= h.P50 && h.P50 <= h.P95 && h.P95 <= h.P99 && h.P99 <= h.Max) {
+		return fmt.Errorf("inconsistent summary %+v", h)
+	}
+	return nil
 }
 
 // Snapshot summarizes the distribution.

@@ -436,6 +436,11 @@ func artifactSeries(name string, data []byte) []seriesView {
 	return out
 }
 
+func str(v any) string {
+	s, _ := v.(string)
+	return s
+}
+
 func floats(v any) []float64 {
 	arr, ok := v.([]any)
 	if !ok {

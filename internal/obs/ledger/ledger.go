@@ -7,9 +7,10 @@
 //     which runs are comparable across time,
 //   - build and host provenance (VCS revision and go version from
 //     runtime/debug.ReadBuildInfo, hostname, GOMAXPROCS — see Provenance),
-//   - the run's headline metrics extracted from its artifacts (virtual
-//     makespan, ns/interaction, tree-build speedup, ranks/sec, checkpoint
-//     overhead, peak RSS — see ExtractMetrics), and
+//   - the run's headline metrics (virtual makespan, ns/interaction,
+//     tree-build speedup, ranks/sec, checkpoint overhead, peak RSS), which
+//     the writer reads off its artifacts with artifact.Headlines — the
+//     ledger stores them and never parses artifacts itself, and
 //   - SHA-256 digests of the full artifacts (ANALYSIS.json,
 //     BENCH_treecode.json, ...) stored content-addressed under blobs/.
 //
@@ -68,8 +69,8 @@ type Record struct {
 	Config       Config `json:"config"`
 	// Build is the provenance of the binary and host that produced the run.
 	Build Provenance `json:"build"`
-	// Metrics are the run's headline measurements (ExtractMetrics output
-	// plus writer-side extras such as peak_rss_bytes).
+	// Metrics are the run's headline measurements (artifact.Headlines of
+	// its artifact plus writer-side extras such as peak_rss_bytes).
 	Metrics map[string]float64 `json:"metrics"`
 	// Artifacts maps artifact names (ANALYSIS.json, BENCH_treecode.json)
 	// to the SHA-256 of their bytes in the blob store.

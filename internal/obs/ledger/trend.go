@@ -33,8 +33,8 @@ type GateSpec struct {
 // Gates maps headline metrics to their specs. Virtual-time metrics are
 // deterministic per config digest, so their bands are tight (mirroring
 // analysis.DefaultThresholds); host-timed metrics wobble with machine load,
-// so their bands match the loose fracs the pairwise diff gates already use
-// (-treebuild-frac 0.35, -scale-frac 0.5).
+// so their bands match the defaults of the pairwise bench-diff flags
+// (-treebuild-frac 0.35, -scale-frac 0.5, -kernel-frac 0.5).
 var Gates = map[string]GateSpec{
 	"makespan_sec":        {Frac: 0.10, Gated: true},
 	"parallel_efficiency": {Abs: 0.05, HigherBetter: true, Gated: true},

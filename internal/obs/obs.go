@@ -17,6 +17,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -374,6 +375,19 @@ func (o *Obs) Rank(id int) *RankObs {
 	return o.ranks[id]
 }
 
+// ResetRanks drops the per-rank accumulators and, with event retention on,
+// starts a fresh event log, so the rank breakdown and events describe only
+// the runs observed from here on. The registry and tracer keep
+// accumulating. Call between runs, never during one.
+func (o *Obs) ResetRanks() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.ranks = nil
+	if o.Events != nil {
+		o.Events = &EventLog{}
+	}
+}
+
 // RankMetrics returns the per-rank breakdowns recorded so far, in rank
 // order. Call after mp.Run returns.
 func (o *Obs) RankMetrics() []RankMetrics {
@@ -396,6 +410,36 @@ type MetricsSnapshot struct {
 	Histograms    map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	Texts         map[string]string            `json:"texts,omitempty"`
 	Ranks         []RankMetrics                `json:"ranks"`
+}
+
+// Validate checks a metrics dump: a schema version, at least one counter, a
+// per-rank breakdown whose compute and wait times are nonnegative and fit
+// inside each rank's clock, and internally ordered histogram summaries.
+func (s *MetricsSnapshot) Validate() error {
+	if s.SchemaVersion < 1 {
+		return fmt.Errorf("schema_version %d < 1", s.SchemaVersion)
+	}
+	if len(s.Counters) == 0 {
+		return fmt.Errorf("no counters")
+	}
+	if len(s.Ranks) == 0 {
+		return fmt.Errorf("no per-rank breakdown")
+	}
+	for _, rm := range s.Ranks {
+		if rm.Clock < 0 || rm.ComputeSec < 0 || rm.WaitSec < 0 {
+			return fmt.Errorf("rank %d: negative time in breakdown", rm.Rank)
+		}
+		if rm.ComputeSec+rm.WaitSec > rm.Clock*(1+1e-9)+1e-9 {
+			return fmt.Errorf("rank %d: compute+wait %.6g exceeds clock %.6g",
+				rm.Rank, rm.ComputeSec+rm.WaitSec, rm.Clock)
+		}
+	}
+	for name, h := range s.Histograms {
+		if err := h.Validate(); err != nil {
+			return fmt.Errorf("histogram %s: %v", name, err)
+		}
+	}
+	return nil
 }
 
 // Snapshot captures the registry and per-rank breakdowns.
