@@ -108,8 +108,11 @@ live-smoke:
 
 # Run-ledger smoke: two quick grouped-bench runs recorded into a scratch
 # ledger must stamp identical config digests (the digest covers only
-# deterministic invocation parameters); the trend report must render; the
-# baseline arm of the perf gate must pass a self-diff against that history;
+# deterministic invocation parameters) and, since group's distributed run
+# uses the reproducible single-worker event engine, identical virtual
+# makespans (distributed.elapsed_virtual_sec); the trend report must
+# render; the baseline arm of the perf gate must pass a self-diff against
+# that history;
 # the HTML dashboard must render; and tracecheck must re-verify every run
 # record and content-addressed artifact blob.
 ledger-smoke:
@@ -121,6 +124,10 @@ ledger-smoke:
 	db=$$(grep -o '"config_digest": *"[0-9a-f]*"' /tmp/spacesim-smoke-ledger-b.json); \
 	[ -n "$$da" ] && [ "$$da" = "$$db" ] || { echo "ledger-smoke: config digests differ: $$da vs $$db"; exit 1; }; \
 	echo "ledger-smoke: identical config digests across both runs"
+	@ea=$$(grep -o '"elapsed_virtual_sec": *[0-9.eE+-]*' /tmp/spacesim-smoke-ledger-a.json); \
+	eb=$$(grep -o '"elapsed_virtual_sec": *[0-9.eE+-]*' /tmp/spacesim-smoke-ledger-b.json); \
+	[ -n "$$ea" ] && [ "$$ea" = "$$eb" ] || { echo "ledger-smoke: virtual makespans differ: $$ea vs $$eb"; exit 1; }; \
+	echo "ledger-smoke: identical distributed virtual makespans across both runs"
 	/tmp/spacesim-smoke-ssbench trend -ledger /tmp/spacesim-smoke-ledger
 	/tmp/spacesim-smoke-ssbench diff -baseline -ledger /tmp/spacesim-smoke-ledger /tmp/spacesim-smoke-ledger-b.json
 	/tmp/spacesim-smoke-ssbench report -ledger /tmp/spacesim-smoke-ledger -html /tmp/spacesim-smoke-ledger-runs.html

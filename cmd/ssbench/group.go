@@ -12,6 +12,7 @@ import (
 	"spacesim/internal/core"
 	"spacesim/internal/gravity"
 	"spacesim/internal/htree"
+	"spacesim/internal/mp"
 	"spacesim/internal/obs/analysis"
 	"spacesim/internal/obs/artifact"
 	"spacesim/internal/vec"
@@ -108,11 +109,15 @@ func groupBench() {
 	// The run starts from empty rank accumulators and a fresh event log, so
 	// the analysis and the rank breakdown describe this run alone even when
 	// the invocation's observer has seen other experiments (`ssbench all`).
+	// It runs on the single-worker event engine, the reproducible mode:
+	// ranks execute one at a time, so the virtual clocks (makespan, Gflop/s)
+	// do not depend on host arrival order and repeat run to run.
 	runObs.EnableEvents().ResetRanks()
 	cl := ssCluster()
 	dres := core.Run(core.RunConfig{
 		Cluster: cl, Procs: procs, Steps: steps,
-		Opt: core.Options{Theta: theta, Eps: eps, DT: 1e-3, MaxLeaf: maxLeaf, Workers: dw},
+		Opt:    core.Options{Theta: theta, Eps: eps, DT: 1e-3, MaxLeaf: maxLeaf, Workers: dw},
+		Engine: mp.EngineEvent, EngineWorkers: 1,
 	}, ics)
 	arep, err := analysis.Analyze(runObs, cl, analysis.Options{})
 	if err != nil {

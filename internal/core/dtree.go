@@ -72,6 +72,9 @@ type DTree struct {
 	// same key just append their continuation.
 	fetching map[key.K][]func(fetchReply)
 
+	// prefetchStack is prefetch's reusable traversal stack.
+	prefetchStack []key.K
+
 	// counters
 	fetches int64
 
@@ -106,8 +109,8 @@ func (dt *DTree) resetCaches() {
 }
 
 // requestCell asks the owner of cell k for its expansion, invoking onReply
-// when the data arrives during a Poll. Replies populate the remote-cell
-// table and bodies cache so later walkers are served locally.
+// (unless nil) when the data arrives during a Poll. Replies populate the
+// remote-cell table and bodies cache so later walkers are served locally.
 func (dt *DTree) requestCell(k key.K, owner int, st *TraversalStats, onReply func(fetchReply)) {
 	waiters, inFlight := dt.fetching[k]
 	dt.fetching[k] = append(waiters, onReply)
@@ -143,7 +146,9 @@ func (dt *DTree) requestCell(k key.K, owner int, st *TraversalStats, onReply fun
 		ws := dt.fetching[k]
 		delete(dt.fetching, k)
 		for _, fn := range ws {
-			fn(reply)
+			if fn != nil {
+				fn(reply)
+			}
 		}
 	})
 }

@@ -9,24 +9,24 @@ import (
 	"testing"
 
 	"spacesim/internal/gravity"
+	"spacesim/internal/mp"
 	"spacesim/internal/vec"
 )
 
-// Golden digests of the distributed grouped engine, captured from the seed
-// (scalar cell loop, unblocked batch kernels, sort.Slice multipole
-// canonicalization) on this configuration: 3 ranks, so interaction lists
-// mix local and fetched data and take the canonical-sort path. The blocked
-// SoA kernels and the MultipoleSoA sort must reproduce them bit for bit at
-// every worker count. The constants encode amd64 semantics (no FMA
-// contraction); elsewhere only worker-count invariance is asserted.
+// Golden digests of the distributed grouped engine on this configuration:
+// 3 ranks, so interaction lists mix locally walked and fetched data. Every
+// list is built in depth-first tree order whatever the fetch-reply timing
+// (a walker waits on at most one fetch), so the digests hold at every
+// worker count and under both rank-execution engines. The constants encode
+// amd64 semantics (no FMA contraction); elsewhere only worker-count
+// invariance is asserted.
 const (
-	goldenCoreLibm = 0x160724b8d237cd8f
-	goldenCoreKarp = 0x44f6a8d2585f487a
+	goldenCoreLibm = 0xae053dacef880958
+	goldenCoreKarp = 0x8842747549b0ac83
 )
 
-// Golden digests of the same configuration on 1 rank. Single-rank lists
-// skip the canonical sort, so their summation order is the walk order
-// itself and these constants pin it.
+// Golden digests of the same configuration on 1 rank, where no cell is
+// fetched and the lists are the local walk's alone.
 const (
 	goldenCoreP1Libm = 0xdf0416373f6b22b1
 	goldenCoreP1Karp = 0x06fb935d52652209
@@ -50,27 +50,34 @@ func digestForces(acc []vec.V3, pot []float64) uint64 {
 
 func TestDistributedGroupedGoldenDigest(t *testing.T) {
 	ics := PlummerSphere(rand.New(rand.NewSource(7)), 1500, 1.0)
+	event1 := mp.RunOptions{Engine: mp.EngineEvent, Workers: 1}
+	event2 := mp.RunOptions{Engine: mp.EngineEvent, Workers: 2}
 	for _, tc := range []struct {
-		p    int
-		karp bool
-		want uint64
+		p      int
+		karp   bool
+		engine mp.RunOptions
+		want   uint64
 	}{
-		{3, false, goldenCoreLibm},
-		{3, true, goldenCoreKarp},
-		{1, false, goldenCoreP1Libm},
-		{1, true, goldenCoreP1Karp},
+		{3, false, mp.RunOptions{}, goldenCoreLibm},
+		{3, true, mp.RunOptions{}, goldenCoreKarp},
+		{3, false, event1, goldenCoreLibm},
+		{3, true, event1, goldenCoreKarp},
+		{3, false, event2, goldenCoreLibm},
+		{3, true, event2, goldenCoreKarp},
+		{1, false, mp.RunOptions{}, goldenCoreP1Libm},
+		{1, true, mp.RunOptions{}, goldenCoreP1Karp},
 	} {
 		var first uint64
 		for _, w := range []int{1, 4} {
-			acc, pot := forcesWith(ics, tc.p, Options{Theta: 0.7, Eps: 0.01, Workers: w, UseKarp: tc.karp})
+			acc, pot := forcesWithEngine(ics, tc.p, Options{Theta: 0.7, Eps: 0.01, Workers: w, UseKarp: tc.karp}, tc.engine)
 			d := digestForces(acc, pot)
 			if w == 1 {
 				first = d
 			} else if d != first {
-				t.Fatalf("p=%d karp=%v: workers=%d digest %#x != workers=1 digest %#x", tc.p, tc.karp, w, d, first)
+				t.Fatalf("p=%d karp=%v engine=%+v: workers=%d digest %#x != workers=1 digest %#x", tc.p, tc.karp, tc.engine, w, d, first)
 			}
 			if runtime.GOARCH == "amd64" && d != tc.want {
-				t.Errorf("p=%d karp=%v workers=%d: digest %#x, want golden %#x", tc.p, tc.karp, w, d, tc.want)
+				t.Errorf("p=%d karp=%v engine=%+v workers=%d: digest %#x, want golden %#x", tc.p, tc.karp, tc.engine, w, d, tc.want)
 			}
 		}
 	}

@@ -12,10 +12,14 @@ package core
 //
 // Determinism rule: the traversal, interaction counting and virtual-time
 // charging all run on the rank's own goroutine in bucket order; workers
-// only evaluate finished lists into disjoint output ranges, and on
-// multi-rank runs each list is sorted into a canonical order first. The
-// result is therefore bit-identical for any Workers count, and independent
-// of the order in which fetch replies happened to arrive.
+// only evaluate finished lists into disjoint output ranges. A walker waits
+// on at most one fetch at a time and resumes exactly where it suspended,
+// so every list is built in depth-first tree order by construction, the
+// same order whether a cell's data was cached or arrived in a reply.
+// Requests a walker issues ahead of its walk (prefetch, traverse.go) only
+// fill the caches; nothing waits on them. The result is therefore
+// bit-identical for any Workers count, and independent of the order in
+// which fetch replies happened to arrive.
 
 import (
 	"context"
@@ -43,15 +47,14 @@ type bucketScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(bucketScratch) }}
 
-// bucketWalker is one leaf bucket's suspended traversal state.
+// bucketWalker is one leaf bucket's traversal state. Its scratch is taken
+// from scratchPool when it first runs and returned once its list is
+// evaluated, so buckets not yet started or already finished hold none.
 type bucketWalker struct {
 	*bucketScratch
-	cell    *htree.Cell
-	center  vec.V3
-	radius  float64
-	blocked int
-	queued  bool
-	done    bool
+	cell   *htree.Cell
+	center vec.V3
+	radius float64
 }
 
 // evalPool runs bucket evaluations on a fixed set of host goroutines. The
@@ -133,17 +136,12 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 	leaves := dt.local.Leaves()
 	st.Buckets = int64(len(leaves))
 	walkers := make([]bucketWalker, len(leaves))
-	runnable := make([]*bucketWalker, 0, len(leaves))
+	runnable := make([]*bucketWalker, len(leaves))
 	for i, c := range leaves {
 		w := &walkers[i]
-		w.bucketScratch = scratchPool.Get().(*bucketScratch)
 		w.cell = c
 		w.center, w.radius = c.BoundingSphere()
-		w.stack = append(w.stack[:0], key.Root)
-		w.Cells.Reset()
-		w.Srcs.Reset()
-		w.queued = true
-		runnable = append(runnable, w)
+		runnable[i] = w
 	}
 	remaining := len(walkers)
 
@@ -151,26 +149,17 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 	hostStart := time.Now()
 	pool := dt.newEvalPool(dt.opt.Workers)
 	defer pool.close()
-	// Multi-rank lists mix locally walked and fetched data, so their order
-	// depends on reply timing; sorting restores a canonical order (see the
-	// determinism rule above). Single-rank lists are already deterministic.
-	canonicalize := dt.r.Size() > 1
 
-	fetch := func(w *bucketWalker, k key.K, owner int) {
-		w.blocked++
-		dt.requestCell(k, owner, &st, func(reply fetchReply) {
-			w.blocked--
+	// fetch suspends w on cell k. The reply pushes exactly what a cache hit
+	// would have pushed and requeues w, which resumes where it stopped.
+	fetch := func(w *bucketWalker, k key.K, info cellInfo) {
+		dt.requestCell(k, info.Owner, &st, func(reply fetchReply) {
 			if reply.Bodies != nil {
 				w.Srcs.PushSources(reply.Bodies)
 			} else {
-				for _, c := range reply.Children {
-					w.stack = append(w.stack, c.Key)
-				}
+				w.stack = appendChildren(w.stack, k, info.ChildMask)
 			}
-			if !w.done && !w.queued {
-				w.queued = true
-				runnable = append(runnable, w)
-			}
+			runnable = append(runnable, w)
 		})
 	}
 
@@ -186,15 +175,16 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 		}
 		w := runnable[len(runnable)-1]
 		runnable = runnable[:len(runnable)-1]
-		w.queued = false
-		if w.done {
-			continue
+		if w.bucketScratch == nil {
+			w.bucketScratch = scratchPool.Get().(*bucketScratch)
+			w.stack = append(w.stack[:0], key.Root)
+			w.Cells.Reset()
+			w.Srcs.Reset()
+			dt.prefetch(w, key.Root, &st)
 		}
-		dt.runBucket(w, fetch)
-		if len(w.stack) == 0 && w.blocked == 0 {
-			w.done = true
+		if !dt.runBucket(w, fetch) {
 			remaining--
-			dt.finishBucket(w, &st, charge, pool, canonicalize, acc, pot)
+			dt.finishBucket(w, &st, charge, pool, acc, pot)
 		}
 		dt.abm.Poll()
 	}
@@ -205,10 +195,11 @@ func (dt *DTree) ComputeForces(bodies []Body) ([]vec.V3, []float64, TraversalSta
 	return acc, pot, st
 }
 
-// runBucket drains the bucket walker's stack as far as possible without
-// waiting, accumulating accepted cells and direct bodies on its list.
-func (dt *DTree) runBucket(w *bucketWalker, fetch func(*bucketWalker, key.K, int)) {
-	theta := dt.opt.Theta
+// runBucket pops the walker's stack in depth-first order, accumulating
+// accepted cells and direct bodies on its list. It returns false once the
+// stack is empty, or true when it stopped at a cell whose children or
+// bodies must be fetched (the fetch's reply resumes the walker).
+func (dt *DTree) runBucket(w *bucketWalker, fetch func(*bucketWalker, key.K, cellInfo)) bool {
 	for len(w.stack) > 0 {
 		k := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
@@ -217,46 +208,32 @@ func (dt *DTree) runBucket(w *bucketWalker, fetch func(*bucketWalker, key.K, int
 			panic("core: traversal reached unknown cell " + k.String())
 		}
 		if info.Owner == dt.r.ID() {
-			dt.local.WalkLocal(&w.BucketList, k, w.center, w.radius, theta)
+			dt.local.WalkLocal(&w.BucketList, k, w.center, w.radius, dt.opt.Theta)
 			continue
 		}
-		d := info.Mp.COM.Dist(w.center) - w.radius
-		if htree.AcceptMAC(d, info.Bmax, theta) {
+		switch dt.remoteStep(w, k, info) {
+		case acceptCell:
 			w.Cells.Push(&info.Mp)
-			continue
-		}
-		if info.Owner == -1 {
-			// Fill cell: children are replicated, push them directly.
-			for oct := 0; oct < 8; oct++ {
-				if info.ChildMask&(1<<uint(oct)) != 0 {
-					w.stack = append(w.stack, k.Child(oct))
-				}
+		case openCell:
+			w.stack = appendChildren(w.stack, k, info.ChildMask)
+		case leafBodies:
+			src, ok := dt.bodiesCacheGet(k)
+			if !ok {
+				fetch(w, k, info)
+				return true
 			}
-			continue
+			w.Srcs.PushSources(src)
+		case fetchChildren:
+			fetch(w, k, info)
+			return true
 		}
-		if info.Leaf {
-			if src, ok := dt.bodiesCacheGet(k); ok {
-				w.Srcs.PushSources(src)
-				continue
-			}
-			fetch(w, k, info.Owner)
-			continue
-		}
-		if dt.childrenCached(k, info) {
-			for oct := 0; oct < 8; oct++ {
-				if info.ChildMask&(1<<uint(oct)) != 0 {
-					w.stack = append(w.stack, k.Child(oct))
-				}
-			}
-			continue
-		}
-		fetch(w, k, info.Owner)
 	}
+	return false
 }
 
 // finishBucket accounts the bucket's work deterministically (counts derive
 // from list lengths alone) and hands the numeric evaluation to the pool.
-func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func(), pool *evalPool, canonicalize bool, acc []vec.V3, pot []float64) {
+func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func(), pool *evalPool, acc []vec.V3, pot []float64) {
 	ns := w.cell.Hi - w.cell.Lo
 	nc := w.Cells.Len()
 	nb := w.Srcs.Len()
@@ -281,10 +258,6 @@ func (dt *DTree) finishBucket(w *bucketWalker, st *TraversalStats, charge func()
 		// Runs on a pool worker: it touches only the walker's own scratch,
 		// the read-only local tree, and the bucket's disjoint slice of the
 		// output arrays.
-		if canonicalize {
-			w.Cells.Sort()
-			w.Srcs.Sort()
-		}
 		dt.local.EvalBucket(&w.BucketList, w.cell, dt.opt.Eps, dt.opt.UseKarp, dt.opt.Precision, acc, pot)
 		sc := w.bucketScratch
 		w.bucketScratch = nil

@@ -15,10 +15,15 @@ import (
 // forcesWith runs one collective force evaluation over p ranks and returns
 // accelerations and potentials indexed by global body ID.
 func forcesWith(ics []Body, p int, opt Options) ([]vec.V3, []float64) {
+	return forcesWithEngine(ics, p, opt, mp.RunOptions{})
+}
+
+// forcesWithEngine is forcesWith under the given rank-execution engine.
+func forcesWithEngine(ics []Body, p int, opt Options, ro mp.RunOptions) ([]vec.V3, []float64) {
 	n := len(ics)
 	acc := make([]vec.V3, n)
 	pot := make([]float64, n)
-	mp.Run(testCluster(), p, func(r *mp.Rank) {
+	mp.RunWith(testCluster(), p, ro, func(r *mp.Rank) {
 		lo, hi := n*r.ID()/p, n*(r.ID()+1)/p
 		local := append([]Body(nil), ics[lo:hi]...)
 		bodies, splitters, boxLo, boxSize := Decompose(r, local)

@@ -52,13 +52,6 @@ type Options struct {
 	// evaluates interaction lists in single precision with an RMS error
 	// budget pinned by tests (see `ssbench kernels`).
 	Precision gravity.Precision
-	// BranchLevel controls how deep the globally replicated top of the
-	// tree reaches (default 3: up to 8^3 = 512 branch cells per rank).
-	BranchLevel int
-	// KernelEff overrides the modeled fraction of node peak the inner
-	// kernel sustains when charging virtual time (default: the Karp
-	// micro-kernel rate of the SS CPU model, as in Table 6).
-	KernelEff float64
 	// Workers is the number of host goroutines evaluating bucket
 	// interaction lists in the force engine and running the tree-build
 	// pipeline (default runtime.GOMAXPROCS(0)). Results are bit-identical
@@ -78,12 +71,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxLeaf == 0 {
 		o.MaxLeaf = 8
-	}
-	if o.BranchLevel == 0 {
-		o.BranchLevel = 3
-	}
-	if o.KernelEff == 0 {
-		o.KernelEff = 0.125 // ~630 Mflop/s of the 5.06 Gflop/s SS node peak
 	}
 	return o
 }

@@ -70,83 +70,6 @@ func (s *SoA) PushSources(src []Source) {
 	}
 }
 
-// Sort orders the list by (x, y, z, m). The batched kernels sum in list
-// order, so sorting makes the accumulated floating-point result a canonical
-// function of the particle *set* — independent of the order fetch replies
-// arrived in (the parallel engine's bit-reproducibility rule).
-func (s *SoA) Sort() {
-	soaQuickSort(s, 0, s.Len()-1)
-}
-
-func soaLess(s *SoA, i, j int) bool {
-	if s.X[i] != s.X[j] {
-		return s.X[i] < s.X[j]
-	}
-	if s.Y[i] != s.Y[j] {
-		return s.Y[i] < s.Y[j]
-	}
-	if s.Z[i] != s.Z[j] {
-		return s.Z[i] < s.Z[j]
-	}
-	return s.M[i] < s.M[j]
-}
-
-func soaSwap(s *SoA, i, j int) {
-	s.X[i], s.X[j] = s.X[j], s.X[i]
-	s.Y[i], s.Y[j] = s.Y[j], s.Y[i]
-	s.Z[i], s.Z[j] = s.Z[j], s.Z[i]
-	s.M[i], s.M[j] = s.M[j], s.M[i]
-}
-
-// soaQuickSort is a median-of-three quicksort with insertion sort below 12
-// elements, sorting the four parallel arrays in lockstep (sort.Interface
-// would box the receiver; this stays allocation-free in the hot path).
-func soaQuickSort(s *SoA, lo, hi int) {
-	for hi-lo > 11 {
-		mid := lo + (hi-lo)/2
-		if soaLess(s, mid, lo) {
-			soaSwap(s, mid, lo)
-		}
-		if soaLess(s, hi, mid) {
-			soaSwap(s, hi, mid)
-			if soaLess(s, mid, lo) {
-				soaSwap(s, mid, lo)
-			}
-		}
-		soaSwap(s, mid, hi-1)
-		p := hi - 1
-		i, j := lo, hi-1
-		for {
-			i++
-			for soaLess(s, i, p) {
-				i++
-			}
-			j--
-			for soaLess(s, p, j) {
-				j--
-			}
-			if i >= j {
-				break
-			}
-			soaSwap(s, i, j)
-		}
-		soaSwap(s, i, hi-1)
-		// Recurse into the smaller side, loop on the larger.
-		if i-lo < hi-i {
-			soaQuickSort(s, lo, i-1)
-			lo = i + 1
-		} else {
-			soaQuickSort(s, i+1, hi)
-			hi = i - 1
-		}
-	}
-	for i := lo + 1; i <= hi; i++ {
-		for j := i; j > lo && soaLess(s, j, j-1); j-- {
-			soaSwap(s, j, j-1)
-		}
-	}
-}
-
 // KernelBatchLibm accumulates into (ax, ay, az, pot)[j] the softened field
 // at sink j from every source, using the math library square root.
 // Zero-separation pairs (a sink interacting with itself inside its own

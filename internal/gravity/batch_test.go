@@ -83,50 +83,6 @@ func TestKernelBatchSkipsSelf(t *testing.T) {
 	}
 }
 
-// Sort must order the list canonically and preserve the particle multiset.
-func TestSoASort(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	soa, src := randomSoA(rng, 257)
-	// add duplicates to exercise tie-breaking
-	soa.Push(src[0].Pos, src[0].Mass)
-	soa.Push(src[1].Pos, src[1].Mass-0.05)
-	soa.Sort()
-	n := soa.Len()
-	if n != 259 {
-		t.Fatalf("length changed: %d", n)
-	}
-	var mass float64
-	for i := 0; i < n; i++ {
-		mass += soa.M[i]
-		if i == 0 {
-			continue
-		}
-		if soaLess(soa, i, i-1) {
-			t.Fatalf("not sorted at %d", i)
-		}
-	}
-	var want float64
-	for _, s := range src {
-		want += s.Mass
-	}
-	want += src[0].Mass + src[1].Mass - 0.05
-	if math.Abs(mass-want) > 1e-12*math.Abs(want) {
-		t.Fatalf("mass multiset changed: %v vs %v", mass, want)
-	}
-	// Sorting twice (or sorting a shuffled copy) gives the same order.
-	perm := &SoA{}
-	order := rng.Perm(n)
-	for _, i := range order {
-		perm.Push(vec.V3{soa.X[i], soa.Y[i], soa.Z[i]}, soa.M[i])
-	}
-	perm.Sort()
-	for i := 0; i < n; i++ {
-		if perm.X[i] != soa.X[i] || perm.Y[i] != soa.Y[i] || perm.Z[i] != soa.Z[i] || perm.M[i] != soa.M[i] {
-			t.Fatalf("canonical order differs at %d", i)
-		}
-	}
-}
-
 // Evaluator.EvalList = accepted cells + batched bodies, against a
 // hand-rolled sum.
 func TestEvalList(t *testing.T) {
